@@ -26,33 +26,28 @@ from .core import (
     validate_morphism,
 )
 from .catops import (
-    Constants,
-    Cospan,
     Pullback,
     Pushout,
-    Span,
-    SquareWitness,
-    bang,
-    constants,
     enumerate_monos,
     enumerate_morphisms,
-    final_object,
-    initial_object,
     is_pullback_square,
     iso_search,
     pullback,
     pullback_mediator,
     pushout_along_mono,
-    zero,
 )
 from .classifier import (
     Characteristic,
     ClassifiedObject,
+    bang,
     bar,
     characteristic,
+    final_object,
+    initial_object,
     phi,
     t_morphism,
     t_object,
+    zero,
 )
 from .rewrite import (
     Fpbc,

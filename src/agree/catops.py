@@ -7,6 +7,8 @@ the external contract so serialized outputs are stable and diffable.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -14,31 +16,19 @@ from .core import (
     CategoryInstance,
     Graph,
     Morphism,
-    PolarizedGraph,
-    TypedGraph,
     carrier,
     compose,
-    identity,
     require_object,
     validate_morphism,
 )
 from .errors import PreconditionError, StructuralError
 
 __all__ = [
-    "Span",
-    "Cospan",
-    "SquareWitness",
     "Pullback",
     "Pushout",
-    "Constants",
     "pullback",
     "pullback_mediator",
     "pushout_along_mono",
-    "final_object",
-    "initial_object",
-    "bang",
-    "zero",
-    "constants",
     "is_pullback_square",
     "iso_search",
     "enumerate_morphisms",
@@ -46,60 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Span:
-    """Two arrows out of a shared source."""
-
-    left: Morphism
-    right: Morphism
-
-    def __post_init__(self):
-        if self.left.source != self.right.source:
-            raise PreconditionError("span legs must share their source")
-
-
-@dataclass(frozen=True)
-class Cospan:
-    """Two arrows into a shared target."""
-
-    left: Morphism
-    right: Morphism
-
-    def __post_init__(self):
-        if self.left.target != self.right.target:
-            raise PreconditionError("cospan legs must share their target")
-
-
-@dataclass(frozen=True)
-class SquareWitness:
-    """A commuting square ``f . p = g . q`` with apex ``p.source``.
-
-    ``p: W -> X``, ``q: W -> Y``, ``f: X -> Z``, ``g: Y -> Z``.
-    """
-
-    p: Morphism
-    q: Morphism
-    f: Morphism
-    g: Morphism
-
-    def commutes(self) -> bool:
-        return compose(self.f, self.p) == compose(self.g, self.q)
-
-    def is_pullback(self, instance: CategoryInstance) -> bool:
-        return is_pullback_square(self.p, self.q, self.f, self.g, instance)
-
-
 def _pair(a: str, b: str) -> str:
     return f"({a},{b})"
-
-
-def _wrap(instance, graph, *, typing_nodes=None, typing_edges=None, nplus=None, nminus=None):
-    if instance.kind == "gr":
-        return graph
-    if instance.kind == "typed":
-        return TypedGraph(graph, instance.typegraph,
-                          Morphism(graph, instance.typegraph, typing_nodes, typing_edges))
-    return PolarizedGraph(graph, frozenset(nplus), frozenset(nminus))
 
 
 def _checked(instance, source, target, nodemap, edgemap) -> Morphism:
@@ -123,9 +61,9 @@ class Pullback:
 def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     """Pullback object of componentwise pairs, with projections.
 
-    Nodes are pairs ``(x,y)`` with equal images, edges likewise; typing is
-    inherited through the first projection, polarity is the componentwise
-    conjunction.  Pulling back an admissible mono yields an admissible mono.
+    Nodes are pairs ``(x,y)`` with equal images, edges likewise; a pair is
+    labelled with the meet of its components' labels.  Pulling back an
+    admissible mono yields an admissible mono.
     """
     if f.target != g.target:
         raise PreconditionError("pullback needs a cospan: the two arrows must share their target")
@@ -153,18 +91,11 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     for (e, d), eid in edge_ids.items():
         src[eid] = node_ids[(gx.src[e], gy.src[d])]
         tgt[eid] = node_ids[(gx.tgt[e], gy.tgt[d])]
-    graph = Graph(frozenset(node_ids.values()), src, tgt)
-
-    kw = {}
-    if instance.kind == "typed":
-        tx = f.source.typing
-        kw["typing_nodes"] = {nid: tx.nodemap[x] for (x, _), nid in node_ids.items()}
-        kw["typing_edges"] = {eid: tx.edgemap[e] for (e, _), eid in edge_ids.items()}
-    elif instance.kind == "grpol":
-        px, py = f.source, g.source
-        kw["nplus"] = {nid for (x, y), nid in node_ids.items() if x in px.nplus and y in py.nplus}
-        kw["nminus"] = {nid for (x, y), nid in node_ids.items() if x in px.nminus and y in py.nminus}
-    apex = _wrap(instance, graph, **kw)
+    apex = instance.make(
+        Graph(frozenset(node_ids.values()), src, tgt),
+        _meets(instance, f.source.node_labels, g.source.node_labels, node_ids),
+        _meets(instance, f.source.edge_labels, g.source.edge_labels, edge_ids),
+    )
 
     p1 = _checked(instance, apex, f.source,
                   {nid: x for (x, _), nid in node_ids.items()},
@@ -175,6 +106,12 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     if validate_morphism(g, instance).is_mono_in_M:
         assert validate_morphism(p1, instance).is_mono_in_M, "stability of admissible monos failed"
     return Pullback(apex, p1, p2, f, g)
+
+
+def _meets(instance, left, right, pair_ids):
+    if left is None:
+        return None
+    return {pid: instance.meet(left[a], right[b]) for (a, b), pid in pair_ids.items()}
 
 
 def pullback_mediator(pb: Pullback, v: Morphism, w: Morphism) -> Morphism:
@@ -236,17 +173,11 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
     for d in gr_.src:
         src[f"R:{d}"] = p_nodes[gr_.src[d]]
         tgt[f"R:{d}"] = p_nodes[gr_.tgt[d]]
-    graph = Graph(frozenset(nodes), src, tgt)
-
-    kw = {}
-    if instance.kind == "typed":
-        td, tr = n.target.typing, r.target.typing
-        tn = {h_nodes[x]: td.nodemap[x] for x in gd.nodes if x not in n_nodes}
-        tn.update({p_nodes[y]: tr.nodemap[y] for y in gr_.nodes})
-        te = {f"D:{e}": td.edgemap[e] for e in gd.src if e not in n_edges}
-        te.update({f"R:{d}": tr.edgemap[d] for d in gr_.src})
-        kw = {"typing_nodes": tn, "typing_edges": te}
-    result = _wrap(instance, graph, **kw)
+    result = instance.make(
+        Graph(frozenset(nodes), src, tgt),
+        _glued(n.target.node_labels, r.target.node_labels, h_nodes, p_nodes),
+        _glued(n.target.edge_labels, r.target.edge_labels, h_edges, p_edges),
+    )
 
     h = _checked(instance, n.target, result, h_nodes, h_edges)
     p = _checked(instance, r.target, result, p_nodes, p_edges)
@@ -254,123 +185,52 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
     return Pushout(result, h, p)
 
 
-# -- constants ----------------------------------------------------------------
-
-def final_object(instance: CategoryInstance):
-    if instance.kind == "gr":
-        return Graph.build(["1"], {"loop": ("1", "1")})
-    if instance.kind == "typed":
-        tg = instance.typegraph
-        return TypedGraph(tg, tg, identity(tg))
-    return PolarizedGraph(Graph.build(["1"], {"loop": ("1", "1")}), frozenset(["1"]), frozenset(["1"]))
-
-
-def initial_object(instance: CategoryInstance):
-    empty = Graph.build()
-    if instance.kind == "gr":
-        return empty
-    if instance.kind == "typed":
-        return TypedGraph(empty, instance.typegraph, Morphism(empty, instance.typegraph, {}, {}))
-    return PolarizedGraph(empty, frozenset(), frozenset())
-
-
-def bang(x, instance: CategoryInstance) -> Morphism:
-    """The unique arrow into the final object."""
-    require_object(x, instance)
-    one = final_object(instance)
-    if instance.kind == "typed":
-        t = x.typing
-        return Morphism(x, one, dict(t.nodemap), dict(t.edgemap))
-    g = carrier(x)
-    return Morphism(x, one, {n: "1" for n in g.nodes}, {e: "loop" for e in g.src})
-
-
-def zero(x, instance: CategoryInstance) -> Morphism:
-    """The unique arrow out of the initial object."""
-    require_object(x, instance)
-    return Morphism(initial_object(instance), x, {}, {})
-
-
-@dataclass(frozen=True)
-class Constants:
-    final: object
-    initial: object
-    bang_is_in_M: bool
-    instance: CategoryInstance
-
-    def bang(self, x) -> Morphism:
-        return bang(x, self.instance)
-
-    def zero(self, x) -> Morphism:
-        return zero(x, self.instance)
-
-
-def constants(instance: CategoryInstance) -> Constants:
-    one = final_object(instance)
-    zero_to_one = zero(one, instance)
-    return Constants(one, initial_object(instance),
-                     validate_morphism(zero_to_one, instance).is_mono_in_M, instance)
+def _glued(context_labels, rhs_labels, h, p):
+    """Labels of the pushout: kept context items keep theirs, glued and
+    right-hand-side items take the right-hand side's (the two agree on
+    the glued part)."""
+    if context_labels is None:
+        return None
+    out = {h[x]: label for x, label in context_labels.items()}
+    out.update({p[y]: label for y, label in rhs_labels.items()})
+    return out
 
 
 # -- morphism enumeration ------------------------------------------------------
 
-def _node_signature(g: Graph, n: str):
-    out = sum(1 for e in g.src if g.src[e] == n)
-    inc = sum(1 for e in g.src if g.tgt[e] == n)
-    return (out, inc)
-
-
-def _edge_candidates(gx, gy, e, nodemap, obj_x, obj_y, instance):
-    fs, ft = nodemap[gx.src[e]], nodemap[gx.tgt[e]]
-    out = [d for d in sorted(gy.src) if gy.src[d] == fs and gy.tgt[d] == ft]
-    if instance.kind == "typed":
-        et = obj_x.typing.edgemap[e]
-        out = [d for d in out if obj_y.typing.edgemap[d] == et]
-    return out
-
-
-def _node_ok(x, y, obj_x, obj_y, instance, mode):
-    if instance.kind == "typed":
-        if obj_x.typing.nodemap[x] != obj_y.typing.nodemap[y]:
-            return False
-    elif instance.kind == "grpol":
-        if mode == "any":
-            if x in obj_x.nplus and y not in obj_y.nplus:
-                return False
-            if x in obj_x.nminus and y not in obj_y.nminus:
-                return False
-        else:  # strict membership match, as required of admissible monos
-            if (x in obj_x.nplus) != (y in obj_y.nplus) or (x in obj_x.nminus) != (y in obj_y.nminus):
-                return False
-    return True
-
-
-def _enumerate(obj_x, obj_y, instance, *, injective: bool, mode: str) -> Iterator[Morphism]:
+def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
+    """Maps ``obj_x -> obj_y`` in lexicographic order over sorted ids whose
+    labels are ``order``-below their images'; injective ones only if asked."""
     gx, gy = carrier(obj_x), carrier(obj_y)
     xs = sorted(gx.nodes)
     ys = sorted(gy.nodes)
-    sig_y = {y: _node_signature(gy, y) for y in ys}
+    xl, yl = obj_x.node_labels, obj_y.node_labels
+    xe, ye = obj_x.edge_labels, obj_y.edge_labels
+    out_x, in_x = Counter(gx.src.values()), Counter(gx.tgt.values())
+    out_y, in_y = Counter(gy.src.values()), Counter(gy.tgt.values())
 
     cand = {}
     for x in xs:
-        sx = _node_signature(gx, x)
-        ok = []
-        for y in ys:
-            if not _node_ok(x, y, obj_x, obj_y, instance, mode):
-                continue
-            if injective and (sig_y[y][0] < sx[0] or sig_y[y][1] < sx[1]):
-                continue
-            ok.append(y)
-        cand[x] = ok
+        cand[x] = [
+            y for y in ys
+            if (xl is None or order(xl[x], yl[y]))
+            and not (injective and (out_y[y] < out_x[x] or in_y[y] < in_x[x]))
+        ]
 
     es = sorted(gx.src)
+    ds = sorted(gy.src)
+
+    def edge_candidates(e, nodemap):
+        fs, ft = nodemap[gx.src[e]], nodemap[gx.tgt[e]]
+        return [d for d in ds if gy.src[d] == fs and gy.tgt[d] == ft
+                and (xe is None or order(xe[e], ye[d]))]
 
     def assign_edges(i, nodemap, edgemap, used_edges):
         if i == len(es):
             yield Morphism(obj_x, obj_y, dict(nodemap), dict(edgemap))
             return
         e = es[i]
-        for d in _edge_candidates(gx, gy, e, nodemap, obj_x, obj_y, instance):
+        for d in edge_candidates(e, nodemap):
             if injective and d in used_edges:
                 continue
             edgemap[e] = d
@@ -400,15 +260,14 @@ def enumerate_morphisms(x, y, instance: CategoryInstance) -> Iterator[Morphism]:
     """All instance-valid morphisms ``x -> y`` in a deterministic order."""
     require_object(x, instance)
     require_object(y, instance)
-    return _enumerate(x, y, instance, injective=False, mode="any")
+    return _enumerate(x, y, injective=False, order=instance.leq)
 
 
 def enumerate_monos(x, y, instance: CategoryInstance) -> Iterator[Morphism]:
-    """All admissible monos ``x -> y`` (strict ones for polarized graphs)."""
+    """All admissible monos ``x -> y``: injective and label-preserving."""
     require_object(x, instance)
     require_object(y, instance)
-    mode = "strict" if instance.kind == "grpol" else "any"
-    return _enumerate(x, y, instance, injective=True, mode=mode)
+    return _enumerate(x, y, injective=True, order=operator.eq)
 
 
 def iso_search(x, y, instance: CategoryInstance) -> Optional[Morphism]:
@@ -422,7 +281,7 @@ def iso_search(x, y, instance: CategoryInstance) -> Optional[Morphism]:
     gx, gy = carrier(x), carrier(y)
     if len(gx.nodes) != len(gy.nodes) or len(gx.src) != len(gy.src):
         return None
-    if instance.kind == "grpol" and (len(x.nplus) != len(y.nplus) or len(x.nminus) != len(y.nminus)):
+    if x.node_labels is not None and Counter(x.node_labels.values()) != Counter(y.node_labels.values()):
         return None
     for m in enumerate_monos(x, y, instance):
         rep = validate_morphism(m, instance)

@@ -1,27 +1,25 @@
-"""Partial-map classifiers for the three instances.
+"""Partial-map classifiers, and the constants they are built from.
 
 ``t_object`` adds to an object a "star" part that can absorb everything a
-partial map is undefined on: one star node (one per type for typed graphs)
-and one star edge for every way an absorbed edge could sit between the
-enlarged node set.  ``phi`` turns a partial map, given as a span of an
-admissible mono and an arrow, into the unique total arrow into the
-enlarged target that restricts back to it.
+partial map is undefined on: one star node per maximal label (one per type
+for typed graphs, a single one otherwise) and one star edge for every edge
+the instance allows between the enlarged node set.  ``phi`` turns a partial
+map, given as a span of an admissible mono and an arrow, into the unique
+total arrow into the enlarged target that restricts back to it.
 
 Star item ids are normative: node ``*`` (typed: ``*:<type>``), edge
-``*(<src>,<tgt>)`` (typed: ``*(<src>,<tgt>):<type>``).
+``*(<src>,<tgt>)`` (typed: ``*(<src>,<tgt>):<type>``).  The final object is
+the star part on its own, with ``1`` in place of ``*``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catops import bang, final_object, initial_object, zero
 from .core import (
     CategoryInstance,
     Graph,
     Morphism,
-    PolarizedGraph,
-    TypedGraph,
     carrier,
     compose,
     identity,
@@ -33,6 +31,10 @@ from .errors import PreconditionError, StructuralError
 __all__ = [
     "ClassifiedObject",
     "Characteristic",
+    "final_object",
+    "initial_object",
+    "bang",
+    "zero",
     "t_object",
     "t_morphism",
     "phi",
@@ -41,12 +43,87 @@ __all__ = [
 ]
 
 
+def _edge_id(mark: str, n: str, p: str, label=None) -> str:
+    return f"{mark}({n},{p})" if label is None else f"{mark}({n},{p}):{label}"
+
+
+def _star_nodes(instance: CategoryInstance, mark: str) -> dict:
+    return {mark + suffix: label for suffix, label in instance.stars.items()}
+
+
+def _allowed_edges(instance: CategoryInstance, node_labels: dict, mark: str) -> dict:
+    """Every edge the instance allows between the labelled nodes, as
+    ``{id: (src, tgt, label)}`` with ids ``<mark>(src,tgt)[:label]``."""
+    by_label = {}
+    for n in sorted(node_labels):
+        by_label.setdefault(node_labels[n], []).append(n)
+    between = instance.edge_labels_between
+    return {
+        _edge_id(mark, n, p, label): (n, p, label)
+        for a, sources in by_label.items() for b, targets in by_label.items()
+        for label in between(a, b) for n in sources for p in targets
+    }
+
+
+def _absorb(instance: CategoryInstance, obj, mark: str, nodemap: dict, edgemap: dict):
+    """Extend a partial map out of ``obj``: every unmapped node goes to the
+    star above its label, every unmapped edge to the star edge between the
+    images of its ends (star ids start with ``mark``)."""
+    g = carrier(obj)
+    labels = obj.node_labels
+    if labels is None:
+        nodes = dict.fromkeys(g.nodes, mark + instance.star(None))
+    else:
+        star = {label: mark + instance.star(label) for label in set(labels.values())}
+        nodes = {x: star[label] for x, label in labels.items()}
+    nodes.update(nodemap)
+    edge_labels = obj.edge_labels or {}
+    edges = {
+        e: edgemap[e] if e in edgemap else _edge_id(mark, nodes[g.src[e]], nodes[g.tgt[e]], edge_labels.get(e))
+        for e in g.src
+    }
+    return nodes, edges
+
+
+# -- constants ----------------------------------------------------------------
+
+def final_object(instance: CategoryInstance):
+    """One node per maximal label and every allowed edge between them."""
+    nodes = _star_nodes(instance, "1")
+    ends = _allowed_edges(instance, nodes, "1")
+    graph = Graph(frozenset(nodes), {e: n for e, (n, _, _) in ends.items()},
+                  {e: p for e, (_, p, _) in ends.items()})
+    return instance.make(graph, nodes, {e: label for e, (_, _, label) in ends.items()})
+
+
+def initial_object(instance: CategoryInstance):
+    return instance.make(Graph.build(), {}, {})
+
+
+def bang(x, instance: CategoryInstance) -> Morphism:
+    """The unique arrow into the final object."""
+    require_object(x, instance)
+    return _into(final_object(instance), x, instance)
+
+
+def _into(one, x, instance: CategoryInstance) -> Morphism:
+    return Morphism(x, one, *_absorb(instance, x, "1", {}, {}))
+
+
+def zero(x, instance: CategoryInstance) -> Morphism:
+    """The unique arrow out of the initial object."""
+    require_object(x, instance)
+    return Morphism(initial_object(instance), x, {}, {})
+
+
+# -- enlargement ----------------------------------------------------------------
+
 @dataclass(frozen=True)
 class ClassifiedObject:
     """An object, its enlargement, the embedding unit, and the star index.
 
-    ``star_edge_ends`` maps each added edge id to ``(src, tgt, type)`` over
-    the enlarged node set (``type`` is ``None`` outside the typed instance).
+    ``star_edge_ends`` maps each added edge id to ``(src, tgt, label)`` over
+    the enlarged node set (``label`` is ``None`` for unlabelled edges).
     """
 
     base: object
@@ -57,39 +134,16 @@ class ClassifiedObject:
     star_edge_ends: dict
 
 
-def _star_edge_id(n: str, p: str, etype=None) -> str:
-    return f"*({n},{p})" if etype is None else f"*({n},{p}):{etype}"
-
-
 def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
     """Enlarge ``y`` with its star part; the unit is the evident inclusion."""
     require_object(y, instance)
     g = carrier(y)
-
-    if instance.kind == "typed":
-        tg = instance.typegraph
-        star_nodes = {f"*:{t}": t for t in sorted(tg.nodes)}
-        if star_nodes.keys() & g.nodes:
-            raise StructuralError("base graph already uses a reserved star node id")
-        pool = {n: y.typing.nodemap[n] for n in g.nodes}
-        pool.update(star_nodes)
-        ends = {}
-        for n in sorted(pool):
-            for p in sorted(pool):
-                for et in sorted(tg.src):
-                    if tg.src[et] == pool[n] and tg.tgt[et] == pool[p]:
-                        ends[_star_edge_id(n, p, et)] = (n, p, et)
-    else:
-        if "*" in g.nodes:
-            raise StructuralError("base graph already uses the reserved star node id")
-        star_nodes = {"*": None}
-        if instance.kind == "grpol":
-            plus = sorted(y.nplus) + ["*"]
-            minus = sorted(y.nminus) + ["*"]
-        else:
-            plus = minus = sorted(g.nodes) + ["*"]
-        ends = {_star_edge_id(n, p): (n, p, None) for n in plus for p in minus}
-
+    stars = _star_nodes(instance, "*")
+    if stars.keys() & g.nodes:
+        raise StructuralError("base graph already uses a reserved star node id")
+    node_labels = dict.fromkeys(g.nodes) if y.node_labels is None else dict(y.node_labels)
+    node_labels.update(stars)
+    ends = _allowed_edges(instance, node_labels, "*")
     if ends.keys() & g.edges:
         raise StructuralError("base graph already uses a reserved star edge id")
 
@@ -98,23 +152,16 @@ def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
     for eid, (n, p, _) in ends.items():
         src[eid] = n
         tgt[eid] = p
-    graph = Graph(g.nodes | set(star_nodes), src, tgt)
-
-    if instance.kind == "typed":
-        tn = dict(y.typing.nodemap)
-        tn.update(star_nodes)
-        te = dict(y.typing.edgemap)
-        te.update({eid: et for eid, (_, _, et) in ends.items()})
-        total = TypedGraph(graph, instance.typegraph, Morphism(graph, instance.typegraph, tn, te))
-    elif instance.kind == "grpol":
-        total = PolarizedGraph(graph, y.nplus | {"*"}, y.nminus | {"*"})
-    else:
-        total = graph
+    edge_labels = None
+    if y.edge_labels is not None:
+        edge_labels = dict(y.edge_labels)
+        edge_labels.update({eid: label for eid, (_, _, label) in ends.items()})
+    total = instance.make(Graph(g.nodes | stars.keys(), src, tgt), node_labels, edge_labels)
 
     unit = Morphism(y, total, {n: n for n in g.nodes}, {e: e for e in g.src})
     rep = validate_morphism(unit, instance)
     assert rep.is_mono_in_M
-    return ClassifiedObject(y, total, unit, frozenset(star_nodes), frozenset(ends), ends)
+    return ClassifiedObject(y, total, unit, frozenset(stars), frozenset(ends), ends)
 
 
 def t_morphism(f: Morphism, instance: CategoryInstance) -> Morphism:
@@ -125,14 +172,11 @@ def t_morphism(f: Morphism, instance: CategoryInstance) -> Morphism:
     cx = t_object(f.source, instance)
     cy = t_object(f.target, instance)
 
-    hat = dict(f.nodemap)
-    hat.update({s: s for s in cx.star_nodes})
-    lookup = {ends: eid for eid, ends in cy.star_edge_ends.items()}
-
-    nodemap = dict(hat)
+    nodemap = dict(f.nodemap)
+    nodemap.update({s: s for s in cx.star_nodes})
     edgemap = dict(f.edgemap)
-    for eid, (n, p, et) in cx.star_edge_ends.items():
-        edgemap[eid] = lookup[(hat[n], hat[p], et)]
+    for eid, (n, p, label) in cx.star_edge_ends.items():
+        edgemap[eid] = _edge_id("*", nodemap[n], nodemap[p], label)
     out = Morphism(cx.total, cy.total, nodemap, edgemap)
     assert validate_morphism(out, instance).valid
     return out
@@ -154,26 +198,9 @@ def phi(m: Morphism, f: Morphism, instance: CategoryInstance) -> Morphism:
         raise PreconditionError(f"phi requires a valid second leg: {rep.problems}")
 
     cy = t_object(f.target, instance)
-    gz = carrier(m.target)
-    inv_n = {v: k for k, v in m.nodemap.items()}
-    inv_e = {v: k for k, v in m.edgemap.items()}
-    lookup = {ends: eid for eid, ends in cy.star_edge_ends.items()}
-
-    nodemap = {}
-    for z in gz.nodes:
-        if z in inv_n:
-            nodemap[z] = f.nodemap[inv_n[z]]
-        elif instance.kind == "typed":
-            nodemap[z] = f"*:{m.target.typing.nodemap[z]}"
-        else:
-            nodemap[z] = "*"
-    edgemap = {}
-    for e in gz.src:
-        if e in inv_e:
-            edgemap[e] = f.edgemap[inv_e[e]]
-        else:
-            et = m.target.typing.edgemap[e] if instance.kind == "typed" else None
-            edgemap[e] = lookup[(nodemap[gz.src[e]], nodemap[gz.tgt[e]], et)]
+    nodemap, edgemap = _absorb(instance, m.target, "*",
+                               {z: f.nodemap[x] for x, z in m.nodemap.items()},
+                               {z: f.edgemap[x] for x, z in m.edgemap.items()})
     out = Morphism(m.target, cy.total, nodemap, edgemap)
     assert validate_morphism(out, instance).valid
     return out
@@ -197,12 +224,12 @@ def characteristic(m: Morphism, instance: CategoryInstance) -> Characteristic:
     ``true`` is the unit at the final object; ``false`` routes through the
     enlargement of the initial object, which is itself final.
     """
-    chi = phi(m, bang(m.source, instance), instance)
     one = final_object(instance)
+    chi = phi(m, _into(one, m.source, instance), instance)
     c_one = t_object(one, instance)
     c_zero = t_object(initial_object(instance), instance)
 
-    b = bang(c_zero.total, instance)
+    b = _into(one, c_zero.total, instance)
     rep = validate_morphism(b, instance)
     assert rep.is_iso, "the enlarged initial object must be final"
     b_inv = Morphism(one, c_zero.total,

@@ -48,14 +48,20 @@ def _emit(text, path=None):
 
 
 def _graph_instance(doc, typegraph_path=None):
+    """The instance of a graph document; a malformed one is left to the parser."""
     if typegraph_path:
         tg = docio.parse_graph(_load(typegraph_path))
         if not isinstance(tg, Graph):
             raise DocumentError([("/", "the type graph must be a plain graph")])
         return typed_over(tg)
-    if any("polarity" in n for n in doc.get("nodes", [])):
+    nodes = doc.get("nodes") if isinstance(doc, dict) else None
+    if isinstance(nodes, list) and any(isinstance(n, dict) and "polarity" in n for n in nodes):
         return GRPOL
     return GR
+
+
+def _embedded_target(doc):
+    return doc.get("target") if isinstance(doc, dict) else None
 
 
 def _rule_and_graph(args):
@@ -114,7 +120,7 @@ def cmd_classifier(args) -> int:
 def cmd_fpbc(args) -> int:
     ldoc = _load(args.l)
     mdoc = _load(args.m)
-    instance = _graph_instance(ldoc.get("target", {}), args.typegraph)
+    instance = _graph_instance(_embedded_target(ldoc), args.typegraph)
     l = docio.parse_morphism(ldoc, typegraph=instance.typegraph)
     m = docio.parse_morphism(mdoc, source=l.target, target=None, typegraph=instance.typegraph)
     result = fpbc(l, m, instance)
@@ -146,7 +152,7 @@ def cmd_check_rule(args) -> int:
 
 def cmd_complement(args) -> int:
     mdoc = _load(args.m)
-    instance = _graph_instance(mdoc.get("target", {}), args.typegraph)
+    instance = _graph_instance(_embedded_target(mdoc), args.typegraph)
     m = docio.parse_morphism(mdoc, typegraph=instance.typegraph)
     if not validate_morphism(m, instance).is_mono_in_M:
         raise DocumentError([("/", "strict complements are taken of admissible monos")])
@@ -236,7 +242,7 @@ def main(argv=None) -> int:
         for path, msg in exc.errors:
             print(f"error: {path}: {msg}", file=sys.stderr)
         return 1
-    except (GraphError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,21 +1,32 @@
 """Finite graphs, typed graphs and polarized graphs, with checked morphisms.
 
-Directed multigraphs over opaque string ids are the base objects.  Two
-refinements share the same machinery: graphs typed over a fixed type
-graph, and polarized graphs whose nodes carry emission/reception
-capabilities (only nodes in ``nplus`` may have outgoing edges, only nodes
-in ``nminus`` incoming ones).  A :class:`CategoryInstance` selects one of
-the three settings together with the class of admissible embeddings used
-by every downstream construction: all injective morphisms for plain and
-typed graphs, the *strict* injective ones for polarized graphs.
+Directed multigraphs over opaque string ids are the base objects.  The two
+other settings label their items: a typed graph labels every node and edge
+with its type in a fixed type graph; a polarized graph labels every node
+with its capabilities, a subset of ``{"+", "-"}`` (only nodes with ``+``
+may have outgoing edges, only nodes with ``-`` incoming ones).  Every object
+exposes ``node_labels`` and ``edge_labels``, each ``None`` where the setting
+leaves those items unlabelled.
 
-All values are immutable after construction and safe to share.
+A :class:`CategoryInstance` selects a setting and holds the only
+per-setting knowledge the constructions use, a small table: the order on
+labels and their meet, a constructor from a graph and its labels, the star
+nodes of the enlargement, and the edge labels allowed between two node
+labels.  From it, a morphism is valid when it is a homomorphism that
+sends every label to one above it; it is an admissible mono when it is
+injective and label-preserving, and an iso when it is bijective and
+label-preserving.
+
+Values hold plain ``dict``s, so they are not hashable; every function here
+treats them as read-only, and callers must not mutate them after
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import PreconditionError, StructuralError
 
@@ -36,8 +47,6 @@ __all__ = [
     "identity",
     "compose",
     "validate_morphism",
-    "is_mono_in_m",
-    "is_iso",
     "pol_forget",
     "pol_induce",
     "pol_minimal",
@@ -51,6 +60,9 @@ class Graph:
     nodes: frozenset
     src: dict
     tgt: dict
+
+    node_labels = None
+    edge_labels = None
 
     def __post_init__(self):
         if set(self.src) != set(self.tgt):
@@ -97,17 +109,13 @@ class TypedGraph:
         if not rep.valid:
             raise StructuralError(f"typing is not a graph morphism: {rep.problems[0]}")
 
-    @classmethod
-    def build(cls, graph: Graph, typegraph: Graph, node_types: Mapping[str, str],
-              edge_types: Mapping[str, str]) -> "TypedGraph":
-        typing = Morphism(graph, typegraph, dict(node_types), dict(edge_types))
-        return cls(graph, typegraph, typing)
+    @property
+    def node_labels(self) -> dict:
+        return self.typing.nodemap
 
-    def node_type(self, n: str) -> str:
-        return self.typing.nodemap[n]
-
-    def edge_type(self, e: str) -> str:
-        return self.typing.edgemap[e]
+    @property
+    def edge_labels(self) -> dict:
+        return self.typing.edgemap
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,8 @@ class PolarizedGraph:
     nplus: frozenset
     nminus: frozenset
 
+    edge_labels = None
+
     def __post_init__(self):
         if not self.nplus <= self.graph.nodes or not self.nminus <= self.graph.nodes:
             raise StructuralError("polarity sets must be subsets of the node set")
@@ -126,10 +136,14 @@ class PolarizedGraph:
                 raise StructuralError(f"edge {e!r} leaves node {self.graph.src[e]!r} without + polarity")
             if self.graph.tgt[e] not in self.nminus:
                 raise StructuralError(f"edge {e!r} enters node {self.graph.tgt[e]!r} without - polarity")
+        # Not a field: equality and the constructor only see nplus/nminus.
+        object.__setattr__(self, "node_labels", {
+            n: _CAPABILITIES[n in self.nplus, n in self.nminus] for n in self.graph.nodes})
 
-    @classmethod
-    def build(cls, graph: Graph, nplus: Iterable[str], nminus: Iterable[str]) -> "PolarizedGraph":
-        return cls(graph, frozenset(nplus), frozenset(nminus))
+
+# A polarized node's label: the set of its capabilities.
+_CAPABILITIES = {(p, m): frozenset(c for c, has in (("+", p), ("-", m)) if has)
+                 for p in (False, True) for m in (False, True)}
 
 
 Object = Union[Graph, TypedGraph, PolarizedGraph]
@@ -160,21 +174,75 @@ def carrier(obj: Object) -> Graph:
 
 @dataclass(frozen=True)
 class CategoryInstance:
-    """Selector for one of the three settings and its class of embeddings.
+    """One of the three settings, with the table every construction reads.
 
-    ``kind`` is ``"gr"``, ``"typed"`` or ``"grpol"``.  The admissible monos
-    are all injective morphisms for ``gr``/``typed`` and the strict
-    injective ones for ``grpol``.
+    ``kind`` is ``"gr"``, ``"typed"`` or ``"grpol"``; typed instances carry
+    their ``typegraph``.  The table follows from these two and cannot be set:
+
+    - ``leq(a, b)``: the label order; equality of types, inclusion of
+      capability sets.
+    - ``meet(a, b)``: the label of a pullback item whose components are
+      labelled ``a`` and ``b``.
+    - ``make(graph, node_labels, edge_labels)``: the object of this setting
+      with that carrier and those labels.
+    - ``stars``: ``{id suffix: label}``, one star node per maximal label;
+      enlargements name them ``*<suffix>``.
+    - ``edge_labels_between(a, b)``: the labels an edge from a node
+      labelled ``a`` to one labelled ``b`` may carry (``None`` for an
+      unlabelled edge).
+
+    Plain graphs carry no labels, so the constructions skip label work there.
     """
 
     kind: str
     typegraph: Optional[Graph] = None
+    leq: Callable = field(init=False, repr=False, compare=False)
+    meet: Callable = field(init=False, repr=False, compare=False)
+    make: Callable = field(init=False, repr=False, compare=False)
+    stars: dict = field(init=False, repr=False, compare=False)
+    edge_labels_between: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("gr", "typed", "grpol"):
             raise PreconditionError(f"unknown category kind {self.kind!r}")
         if (self.kind == "typed") != (self.typegraph is not None):
             raise PreconditionError("typed instances need a type graph, others must not have one")
+        if self.kind == "gr":
+            table = (operator.eq, _first, _plain, {"": None}, lambda a, b: _UNLABELLED_EDGE)
+        elif self.kind == "typed":
+            tg = self.typegraph
+            between = {}
+            for et in sorted(tg.src):
+                between.setdefault((tg.src[et], tg.tgt[et]), []).append(et)
+            table = (operator.eq, _first,
+                     lambda graph, nl, el: TypedGraph(graph, tg, Morphism(graph, tg, nl, el)),
+                     {f":{t}": t for t in sorted(tg.nodes)},
+                     lambda a, b: between.get((a, b), ()))
+        else:
+            table = (operator.le, operator.and_, _polarized, {"": _CAPABILITIES[True, True]},
+                     lambda a, b: _UNLABELLED_EDGE if "+" in a and "-" in b else ())
+        for name, value in zip(("leq", "meet", "make", "stars", "edge_labels_between"), table):
+            object.__setattr__(self, name, value)
+
+    def star(self, label) -> str:
+        """Id suffix of the star node that absorbs items labelled ``label``."""
+        return next(s for s, top in self.stars.items() if self.leq(label, top))
+
+
+_UNLABELLED_EDGE = (None,)
+
+
+def _first(a, b):
+    return a
+
+
+def _plain(graph, node_labels, edge_labels):
+    return graph
+
+
+def _polarized(graph, node_labels, edge_labels):
+    return PolarizedGraph(graph, frozenset(n for n, caps in node_labels.items() if "+" in caps),
+                          frozenset(n for n, caps in node_labels.items() if "-" in caps))
 
 
 GR = CategoryInstance("gr")
@@ -246,11 +314,30 @@ def _structural_check(f: Morphism):
             raise StructuralError(f"edgemap targets unknown edge {d!r}")
 
 
+def _label_order(f: Morphism, leq) -> tuple:
+    """``(preserved, below)``: whether every label equals, resp. is ``leq``
+    its image's label."""
+    preserved = below = True
+    if f.source.node_labels is None and f.source.edge_labels is None:
+        return preserved, below
+    for own, theirs, image in ((f.source.node_labels, f.target.node_labels, f.nodemap),
+                               (f.source.edge_labels, f.target.edge_labels, f.edgemap)):
+        if own is not None:
+            images = {x: theirs[image[x]] for x in own}
+            if images != own:
+                preserved = False
+                below = below and all(leq(label, images[x]) for x, label in own.items())
+    return preserved, below
+
+
 def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport:
     """Check the morphism obligations of ``f`` in the given instance.
 
-    Dangling map entries raise :class:`StructuralError`; a well-formed map
-    that fails an obligation yields ``valid=False`` with the reasons.
+    Valid means total, homomorphic and label-monotone; an admissible mono
+    is also injective and label-preserving, an iso bijective and
+    label-preserving.  Dangling map entries raise :class:`StructuralError`;
+    a well-formed map that fails an obligation yields ``valid=False`` with
+    the reasons.
     """
     require_object(f.source, instance)
     require_object(f.target, instance)
@@ -258,6 +345,7 @@ def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport
     sg, tg = carrier(f.source), carrier(f.target)
 
     problems = []
+    preserved = False
     if set(f.nodemap) != sg.nodes:
         problems.append("nodemap is not total on the source nodes")
     if set(f.edgemap) != set(sg.src):
@@ -267,45 +355,15 @@ def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport
             if f.nodemap[sg.src[e]] != tg.src[d] or f.nodemap[sg.tgt[e]] != tg.tgt[d]:
                 problems.append(f"edge {e!r} is not mapped homomorphically")
                 break
-        if instance.kind == "typed":
-            tx, ty = f.source.typing, f.target.typing
-            if any(ty.nodemap[f.nodemap[x]] != tx.nodemap[x] for x in sg.nodes) or any(
-                ty.edgemap[f.edgemap[e]] != tx.edgemap[e] for e in sg.src
-            ):
-                problems.append("typing is not preserved")
-        elif instance.kind == "grpol":
-            if not {f.nodemap[x] for x in f.source.nplus} <= f.target.nplus:
-                problems.append("+ polarity is not preserved")
-            if not {f.nodemap[x] for x in f.source.nminus} <= f.target.nminus:
-                problems.append("- polarity is not preserved")
+        preserved, below = _label_order(f, instance.leq)
+        if not below:
+            problems.append("labels are not preserved")
 
     valid = not problems
-    mono = valid and len(set(f.nodemap.values())) == len(f.nodemap) and len(set(f.edgemap.values())) == len(f.edgemap)
-    if mono and instance.kind == "grpol":
-        # Strictness, pointwise: x gains a capability exactly when its image has it.
-        mono = all((x in f.source.nplus) == (f.nodemap[x] in f.target.nplus) for x in sg.nodes) and all(
-            (x in f.source.nminus) == (f.nodemap[x] in f.target.nminus) for x in sg.nodes
-        )
-
-    iso = (
-        valid
-        and len(set(f.nodemap.values())) == len(tg.nodes) == len(sg.nodes)
-        and len(set(f.edgemap.values())) == len(tg.src) == len(sg.src)
-    )
-    if iso and instance.kind == "grpol":
-        iso = {f.nodemap[x] for x in f.source.nplus} == f.target.nplus and {
-            f.nodemap[x] for x in f.source.nminus
-        } == f.target.nminus
-
+    mono = (valid and preserved and len(set(f.nodemap.values())) == len(f.nodemap)
+            and len(set(f.edgemap.values())) == len(f.edgemap))
+    iso = mono and len(tg.nodes) == len(sg.nodes) and len(tg.src) == len(sg.src)
     return MorphismReport(valid, mono, iso, tuple(problems))
-
-
-def is_mono_in_m(f: Morphism, instance: CategoryInstance) -> bool:
-    return validate_morphism(f, instance).is_mono_in_M
-
-
-def is_iso(f: Morphism, instance: CategoryInstance) -> bool:
-    return validate_morphism(f, instance).is_iso
 
 
 # -- polarity functors -------------------------------------------------------

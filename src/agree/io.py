@@ -13,11 +13,10 @@ from typing import Optional
 
 from .core import (
     GR,
+    GRPOL,
     CategoryInstance,
     Graph,
     Morphism,
-    PolarizedGraph,
-    TypedGraph,
     carrier,
     typed_over,
 )
@@ -45,24 +44,38 @@ def dumps(doc) -> str:
 # -- graphs -------------------------------------------------------------------
 
 
+def _label_field(label) -> tuple:
+    """The document field of a label: a type is a name, polarity a set of capabilities."""
+    if isinstance(label, str):
+        return "type", label
+    return "polarity", [c for c in "+-" if c in label]
+
+
 def graph_doc(obj) -> dict:
     """Serialize any of the three object kinds to a GraphDoc."""
     g = carrier(obj)
-    nodes = []
-    for n in sorted(g.nodes):
-        entry = {"id": n}
-        if isinstance(obj, TypedGraph):
-            entry["type"] = obj.typing.nodemap[n]
-        elif isinstance(obj, PolarizedGraph):
-            entry["polarity"] = [s for s, present in (("+", n in obj.nplus), ("-", n in obj.nminus)) if present]
-        nodes.append(entry)
-    edges = []
-    for e in sorted(g.src):
-        entry = {"id": e, "src": g.src[e], "tgt": g.tgt[e]}
-        if isinstance(obj, TypedGraph):
-            entry["type"] = obj.typing.edgemap[e]
-        edges.append(entry)
+    nodes = [{"id": n} for n in sorted(g.nodes)]
+    edges = [{"id": e, "src": g.src[e], "tgt": g.tgt[e]} for e in sorted(g.src)]
+    for entries, labels in ((nodes, obj.node_labels), (edges, obj.edge_labels)):
+        if labels is not None:
+            for entry in entries:
+                key, value = _label_field(labels[entry["id"]])
+                entry[key] = value
     return {"nodes": nodes, "edges": edges}
+
+
+def _array(doc: dict, key: str, path: str, errors: list) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        errors.append((f"{path}/{key}", f"'{key}' must be an array"))
+        return []
+    return value
+
+
+def _report_non_strings(entry: dict, keys, p: str, errors: list):
+    for key in keys:
+        if not isinstance(entry.get(key, ""), str):
+            errors.append((f"{p}/{key}", f"'{key}' must be a string, got {entry[key]!r}"))
 
 
 def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
@@ -74,8 +87,8 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
     errors = []
     if not isinstance(doc, dict):
         raise DocumentError([(path or "/", "graph document must be an object")])
-    nodes = doc.get("nodes", [])
-    edges = doc.get("edges", [])
+    nodes = _array(doc, "nodes", path, errors)
+    edges = _array(doc, "edges", path, errors)
 
     seen_nodes = {}
     polarized = False
@@ -85,14 +98,18 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
             errors.append((p, "node entries need an 'id'"))
             continue
         nid = entry["id"]
+        if not (isinstance(nid, str) and isinstance(entry.get("type", ""), str)):
+            _report_non_strings(entry, ("id", "type"), p, errors)
+            continue
         if nid in seen_nodes:
             errors.append((p, f"duplicate node id {nid!r}"))
             continue
         if "polarity" in entry:
             polarized = True
-            bad = set(entry["polarity"]) - {"+", "-"}
-            if bad:
-                errors.append((p + "/polarity", f"polarity entries must be '+' or '-', got {sorted(bad)!r}"))
+            pol = entry["polarity"]
+            if not isinstance(pol, list) or any(c not in ("+", "-") for c in pol):
+                errors.append((p + "/polarity", f"polarity must be an array of '+' and '-', got {pol!r}"))
+                continue
         seen_nodes[nid] = entry
 
     seen_edges = {}
@@ -102,6 +119,10 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
             errors.append((p, "edge entries need 'id', 'src' and 'tgt'"))
             continue
         eid = entry["id"]
+        if not (isinstance(eid, str) and isinstance(entry["src"], str) and isinstance(entry["tgt"], str)
+                and isinstance(entry.get("type", ""), str)):
+            _report_non_strings(entry, ("id", "src", "tgt", "type"), p, errors)
+            continue
         if eid in seen_edges:
             errors.append((p, f"duplicate edge id {eid!r}"))
             continue
@@ -129,31 +150,29 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
         raise DocumentError(errors)
 
     graph = Graph.build(seen_nodes, {eid: (e["src"], e["tgt"]) for eid, e in seen_edges.items()})
-
     if typegraph is not None:
-        typing = Morphism(graph, typegraph,
-                          {nid: e["type"] for nid, e in seen_nodes.items()},
-                          {eid: e["type"] for eid, e in seen_edges.items()})
-        tgr = TypedGraph(graph, typegraph, typing)
         for eid, entry in seen_edges.items():
             et = entry["type"]
-            if typegraph.src[et] != tgr.node_type(entry["src"]) or typegraph.tgt[et] != tgr.node_type(entry["tgt"]):
+            ends = (seen_nodes[entry["src"]]["type"], seen_nodes[entry["tgt"]]["type"])
+            if (typegraph.src[et], typegraph.tgt[et]) != ends:
                 errors.append((f"{path}/edges", f"edge {eid!r} type {et!r} does not match its endpoint types"))
-        if errors:
-            raise DocumentError(errors)
-        return tgr
-    if polarized:
-        plus = {nid for nid, e in seen_nodes.items() if "+" in e.get("polarity", [])}
-        minus = {nid for nid, e in seen_nodes.items() if "-" in e.get("polarity", [])}
+        node_labels = {nid: e["type"] for nid, e in seen_nodes.items()}
+        edge_labels = {eid: e["type"] for eid, e in seen_edges.items()}
+        instance = typed_over(typegraph)
+    elif polarized:
+        node_labels = {nid: frozenset(e.get("polarity", [])) for nid, e in seen_nodes.items()}
         for eid, entry in seen_edges.items():
-            if entry["src"] not in plus:
+            if "+" not in node_labels[entry["src"]]:
                 errors.append((f"{path}/edges", f"edge {eid!r} leaves node {entry['src']!r} without + polarity"))
-            if entry["tgt"] not in minus:
+            if "-" not in node_labels[entry["tgt"]]:
                 errors.append((f"{path}/edges", f"edge {eid!r} enters node {entry['tgt']!r} without - polarity"))
-        if errors:
-            raise DocumentError(errors)
-        return PolarizedGraph(graph, frozenset(plus), frozenset(minus))
-    return graph
+        edge_labels = None
+        instance = GRPOL
+    else:
+        return graph
+    if errors:
+        raise DocumentError(errors)
+    return instance.make(graph, node_labels, edge_labels)
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -189,21 +208,23 @@ def parse_morphism(doc, source=None, target=None, typegraph: Optional[Graph] = N
         target = parse_graph(doc["target"], typegraph, path=f"{path}/target")
 
     sg, tg = carrier(source), carrier(target)
-    nodemap = doc.get("nodes", {})
-    edgemap = doc.get("edges", {})
-    for k, v in nodemap.items():
-        if k not in sg.nodes:
-            errors.append((f"{path}/nodes/{k}", f"unknown source node id {k!r}"))
-        if v not in tg.nodes:
-            errors.append((f"{path}/nodes/{k}", f"unknown target node id {v!r}"))
-    for k, v in edgemap.items():
-        if k not in sg.src:
-            errors.append((f"{path}/edges/{k}", f"unknown source edge id {k!r}"))
-        if v not in tg.src:
-            errors.append((f"{path}/edges/{k}", f"unknown target edge id {v!r}"))
+    maps = {}
+    for key, item, known_src, known_tgt in (("nodes", "node", sg.nodes, tg.nodes),
+                                            ("edges", "edge", sg.src, tg.src)):
+        mapping = maps[key] = doc.get(key, {})
+        if not isinstance(mapping, dict):
+            errors.append((f"{path}/{key}", f"'{key}' must be an object mapping ids to ids"))
+            continue
+        for k, v in mapping.items():
+            if k not in known_src:
+                errors.append((f"{path}/{key}/{k}", f"unknown source {item} id {k!r}"))
+            if not isinstance(v, str):
+                errors.append((f"{path}/{key}/{k}", f"image must be a string id, got {v!r}"))
+            elif v not in known_tgt:
+                errors.append((f"{path}/{key}/{k}", f"unknown target {item} id {v!r}"))
     if errors:
         raise DocumentError(errors)
-    return Morphism(source, target, dict(nodemap), dict(edgemap))
+    return Morphism(source, target, dict(maps["nodes"]), dict(maps["edges"]))
 
 
 # -- rules ---------------------------------------------------------------------
@@ -223,7 +244,7 @@ def rule_doc(rule: Rule, instance: CategoryInstance) -> dict:
         doc["t"] = morphism_doc(rule.t)
     if rule.mode == "PSQPO":
         doc["polarity"] = {"plus": sorted(rule.nplus), "minus": sorted(rule.nminus)}
-    if instance.kind == "typed":
+    if instance.typegraph is not None:
         doc["typegraph"] = graph_doc(instance.typegraph)
     return doc
 
@@ -285,10 +306,16 @@ def parse_rule(doc, path: str = ""):
     if mode == "SQPO":
         return sqpo_rule(l, r, instance), instance
     pol = doc["polarity"]
+    if not isinstance(pol, dict):
+        raise DocumentError([(f"{path}/polarity", "polarity must be an object with 'plus' and 'minus' arrays")])
     kg = carrier(k)
     for key in ("plus", "minus"):
-        for nid in pol.get(key, []):
-            if nid not in kg.nodes:
+        ids = pol.get(key, [])
+        if not isinstance(ids, list):
+            errors.append((f"{path}/polarity/{key}", f"'{key}' must be an array of interface node ids"))
+            continue
+        for nid in ids:
+            if not isinstance(nid, str) or nid not in kg.nodes:
                 errors.append((f"{path}/polarity/{key}", f"unknown interface node {nid!r}"))
     if errors:
         raise DocumentError(errors)
@@ -331,37 +358,32 @@ def trace_doc(trace: RewriteTrace, instance: CategoryInstance) -> dict:
 # -- DOT ---------------------------------------------------------------------
 
 
-def _dot_node_attrs(obj, n: str) -> str:
-    attrs = []
-    if isinstance(obj, TypedGraph):
-        attrs.append(f'label="{n}:{obj.typing.nodemap[n]}"')
-    elif isinstance(obj, PolarizedGraph):
-        pol = ("+" if n in obj.nplus else "") + ("-" if n in obj.nminus else "")
-        attrs.append(f'label="{n}{pol}"')
-    if n.startswith("*"):
+def _dot(text: str) -> str:
+    """A DOT double-quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _label_text(label) -> str:
+    return f":{label}" if isinstance(label, str) else "".join(c for c in "+-" if c in label)
+
+
+def _dot_attrs(item: str, text: Optional[str]) -> str:
+    attrs = [] if text is None else [f"label={_dot(text)}"]
+    if item.startswith("*"):
         attrs.append("style=dashed")
     return f" [{', '.join(attrs)}]" if attrs else ""
 
 
-def _dot_edge_attrs(obj, e: str) -> str:
-    label = e
-    if isinstance(obj, TypedGraph):
-        label = f"{e}:{obj.typing.edgemap[e]}"
-    attrs = [f'label="{label}"']
-    if e.startswith("*"):
-        attrs.append("style=dashed")
-    return f" [{', '.join(attrs)}]"
-
-
 def _graph_dot_lines(obj, prefix: str = "", indent: str = "  "):
     g = carrier(obj)
+    node_labels, edge_labels = obj.node_labels, obj.edge_labels
     lines = []
     for n in sorted(g.nodes):
-        lines.append(f'{indent}"{prefix}{n}"{_dot_node_attrs(obj, n)};')
+        text = None if node_labels is None else n + _label_text(node_labels[n])
+        lines.append(f"{indent}{_dot(prefix + n)}{_dot_attrs(n, text)};")
     for e in sorted(g.src):
-        lines.append(
-            f'{indent}"{prefix}{g.src[e]}" -> "{prefix}{g.tgt[e]}"{_dot_edge_attrs(obj, e)};'
-        )
+        text = e if edge_labels is None else e + _label_text(edge_labels[e])
+        lines.append(f"{indent}{_dot(prefix + g.src[e])} -> {_dot(prefix + g.tgt[e])}{_dot_attrs(e, text)};")
     return lines
 
 

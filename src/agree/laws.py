@@ -15,22 +15,19 @@ from typing import Optional
 from . import io as docio
 from .catops import (
     enumerate_morphisms,
-    initial_object,
     is_pullback_square,
     iso_search,
     pullback,
     pullback_mediator,
     pushout_along_mono,
 )
-from .classifier import bar, phi, t_morphism, t_object
+from .classifier import bar, initial_object, phi, t_morphism, t_object
 from .core import (
     GR,
     GRPOL,
     CategoryInstance,
     Graph,
     Morphism,
-    PolarizedGraph,
-    TypedGraph,
     carrier,
     compose,
     typed_over,
@@ -115,15 +112,36 @@ def _norm_bound(size_bound) -> tuple:
     return (int(nmax), int(emax))
 
 
+def _pull(labels, mapping):
+    """Labels for the keys of ``mapping``, read at their images; ``None`` stays ``None``."""
+    return None if labels is None else {k: labels[v] for k, v in mapping.items()}
+
+
+def _copied(labels):
+    return None if labels is None else dict(labels)
+
+
 class _Gen:
-    """Deterministic random values for one law run."""
+    """Deterministic random values for one law run.
+
+    The random distributions differ per setting: typed objects draw a type
+    for each node before its edges, polarized ones draw capabilities after
+    their edges and gain the capabilities new edges need.  Labels are kept
+    in plain dicts and every object is built by the instance's constructor.
+    """
 
     def __init__(self, rng: random.Random, bound: tuple, instance: CategoryInstance):
         self.rng = rng
         self.nmax, self.emax = bound
         self.instance = instance
+        self.typegraph = instance.typegraph
+        self.polarized = instance.kind == "grpol"
 
-    # -- plain building blocks ------------------------------------------------
+    def _capabilities(self, offered, p):
+        """Each offered capability, kept with probability ``p``."""
+        return frozenset(c for c in "+-" if c in offered and self.rng.random() < p)
+
+    # -- objects -----------------------------------------------------------------
 
     def _graph(self, prefix, nmax, emax):
         rng = self.rng
@@ -137,7 +155,7 @@ class _Gen:
 
     def _typed(self, prefix, nmax, emax):
         rng = self.rng
-        tg = self.instance.typegraph
+        tg = self.typegraph
         types = sorted(tg.nodes)
         etypes = sorted(tg.src)
         n = rng.randint(0, nmax)
@@ -148,35 +166,29 @@ class _Gen:
         if n and etypes:
             for i in range(rng.randint(0, emax)):
                 et = rng.choice(etypes)
-                srcs = [x for x in nodes if node_types[x] == tg.src[et]]
-                tgts = [x for x in nodes if node_types[x] == tg.tgt[et]]
+                srcs, tgts = self._ends(node_types, nodes, et)
                 if not srcs or not tgts:
                     continue
                 eid = f"{prefix}e{i}"
                 edges[eid] = (rng.choice(srcs), rng.choice(tgts))
                 edge_types[eid] = et
-        graph = Graph.build(nodes, edges)
-        return TypedGraph(graph, tg, Morphism(graph, tg, node_types, edge_types))
+        return self.instance.make(Graph.build(nodes, edges), node_types, edge_types)
 
-    def _pol(self, prefix, nmax, emax):
-        rng = self.rng
+    def _polarized(self, prefix, nmax, emax):
         g = self._graph(prefix, nmax, emax)
-        plus = set(g.src.values())
-        minus = set(g.tgt.values())
-        for x in sorted(g.nodes):
-            if rng.random() < 0.4:
-                plus.add(x)
-            if rng.random() < 0.4:
-                minus.add(x)
-        return PolarizedGraph(g, frozenset(plus), frozenset(minus))
+        caps = {x: self._capabilities("+-", 0.4) for x in sorted(g.nodes)}
+        for e in g.src:
+            caps[g.src[e]] |= {"+"}
+            caps[g.tgt[e]] |= {"-"}
+        return self.instance.make(g, caps, None)
 
     def object(self, prefix="n", nmax=None, emax=None):
         nmax = self.nmax if nmax is None else nmax
         emax = self.emax if emax is None else emax
-        if self.instance.kind == "typed":
+        if self.typegraph is not None:
             return self._typed(prefix, nmax, emax)
-        if self.instance.kind == "grpol":
-            return self._pol(prefix, nmax, emax)
+        if self.polarized:
+            return self._polarized(prefix, nmax, emax)
         return self._graph(prefix, nmax, emax)
 
     # -- morphisms -------------------------------------------------------------
@@ -187,28 +199,18 @@ class _Gen:
         if target is None:
             target = self.object("z")
         g = carrier(target)
-        kept_nodes = sorted(x for x in g.nodes if rng.random() < 0.6)
+        kept_nodes = [x for x in sorted(g.nodes) if rng.random() < 0.6]
         kept_set = set(kept_nodes)
-        kept_edges = sorted(
-            e for e in g.src
+        kept_edges = [
+            e for e in sorted(g.src)
             if g.src[e] in kept_set and g.tgt[e] in kept_set and rng.random() < 0.7
-        )
-        nmap = {x: f"{prefix}{i}" for i, x in enumerate(kept_nodes)}
-        emap = {e: f"{prefix}e{i}" for i, e in enumerate(kept_edges)}
-        sub = Graph.build(nmap.values(), {emap[e]: (nmap[g.src[e]], nmap[g.tgt[e]]) for e in kept_edges})
-        if self.instance.kind == "typed":
-            src_obj = TypedGraph(sub, self.instance.typegraph, Morphism(
-                sub, self.instance.typegraph,
-                {nmap[x]: target.typing.nodemap[x] for x in kept_nodes},
-                {emap[e]: target.typing.edgemap[e] for e in kept_edges}))
-        elif self.instance.kind == "grpol":
-            src_obj = PolarizedGraph(
-                sub,
-                frozenset(nmap[x] for x in kept_nodes if x in target.nplus),
-                frozenset(nmap[x] for x in kept_nodes if x in target.nminus))
-        else:
-            src_obj = sub
-        m = Morphism(src_obj, target, {v: k for k, v in nmap.items()}, {v: k for k, v in emap.items()})
+        ]
+        nodemap = {f"{prefix}{i}": x for i, x in enumerate(kept_nodes)}
+        edgemap = {f"{prefix}e{i}": e for i, e in enumerate(kept_edges)}
+        inv = {x: y for y, x in nodemap.items()}
+        sub = Graph.build(nodemap, {d: (inv[g.src[e]], inv[g.tgt[e]]) for d, e in edgemap.items()})
+        source = self.instance.make(sub, _pull(target.node_labels, nodemap), _pull(target.edge_labels, edgemap))
+        m = Morphism(source, target, nodemap, edgemap)
         assert validate_morphism(m, self.instance).is_mono_in_M
         return m
 
@@ -235,24 +237,15 @@ class _Gen:
                 eid = f"{prefix}e{i}"
                 edges[eid] = (rng.choice(srcs), rng.choice(tgts))
                 edgemap[eid] = d
-        graph = Graph.build(nodes, edges)
-        if self.instance.kind == "typed":
-            src_obj = TypedGraph(graph, self.instance.typegraph, Morphism(
-                graph, self.instance.typegraph,
-                {x: target.typing.nodemap[nodemap[x]] for x in nodes},
-                {e: target.typing.edgemap[edgemap[e]] for e in edges}))
-        elif self.instance.kind == "grpol":
-            plus = set(graph.src.values())
-            minus = set(graph.tgt.values())
-            for x in nodes:
-                if nodemap[x] in target.nplus and rng.random() < 0.5:
-                    plus.add(x)
-                if nodemap[x] in target.nminus and rng.random() < 0.5:
-                    minus.add(x)
-            src_obj = PolarizedGraph(graph, frozenset(plus), frozenset(minus))
-        else:
-            src_obj = graph
-        f = Morphism(src_obj, target, nodemap, edgemap)
+        labels = _pull(target.node_labels, nodemap)
+        if self.polarized:
+            # Each capability of the image survives a coin flip; edges add what they need.
+            labels = {x: self._capabilities(labels[x], 0.5) for x in nodes}
+            for s, t in edges.values():
+                labels[s] |= {"+"}
+                labels[t] |= {"-"}
+        source = self.instance.make(Graph.build(nodes, edges), labels, _pull(target.edge_labels, edgemap))
+        f = Morphism(source, target, nodemap, edgemap)
         assert validate_morphism(f, self.instance).valid
         return f
 
@@ -276,37 +269,32 @@ class _Gen:
         nodes = set(tg.nodes)
         edges = dict(tg.src)
         tgts = dict(tg.tgt)
-        node_types = dict(target.typing.nodemap) if self.instance.kind == "typed" else None
-        edge_types = dict(target.typing.edgemap) if self.instance.kind == "typed" else None
-        plus = set(target.nplus) if self.instance.kind == "grpol" else None
-        minus = set(target.nminus) if self.instance.kind == "grpol" else None
+        labels = _copied(target.node_labels)
+        edge_labels = _copied(target.edge_labels)
+        own, own_edges = source.node_labels, source.edge_labels
 
         nodemap = {}
         for i, x in enumerate(sorted(g.nodes)):
             cands = sorted(nodes)
-            if self.instance.kind == "typed":
-                want = source.typing.nodemap[x]
-                cands = [y for y in cands if node_types[y] == want]
+            if self.typegraph is not None:
+                cands = [y for y in cands if labels[y] == own[x]]
             if cands and rng.random() < 0.8:
                 y = rng.choice(cands)
             else:
                 y = f"{prefix}fresh{i}"
                 nodes.add(y)
-                if node_types is not None:
-                    node_types[y] = source.typing.nodemap[x]
+                if labels is not None:
+                    labels[y] = own[x]
             nodemap[x] = y
-            if plus is not None:
-                if x in source.nplus:
-                    plus.add(y)
-                if x in source.nminus:
-                    minus.add(y)
+            if self.polarized:
+                labels[y] |= own[x]
         edgemap = {}
         for i, e in enumerate(sorted(g.src)):
             u, v = nodemap[g.src[e]], nodemap[g.tgt[e]]
-            want = source.typing.edgemap[e] if self.instance.kind == "typed" else None
+            want = None if own_edges is None else own_edges[e]
             cands = sorted(
                 d for d in edges
-                if edges[d] == u and tgts[d] == v and (want is None or edge_types[d] == want)
+                if edges[d] == u and tgts[d] == v and (want is None or edge_labels[d] == want)
             )
             if cands and rng.random() < 0.8:
                 d = rng.choice(cands)
@@ -314,21 +302,14 @@ class _Gen:
                 d = f"{prefix}freshe{i}"
                 edges[d] = u
                 tgts[d] = v
-                if edge_types is not None:
-                    edge_types[d] = want
-                if plus is not None:
-                    plus.add(u)
-                    minus.add(v)
+                if edge_labels is not None:
+                    edge_labels[d] = want
+                if self.polarized:
+                    labels[u] |= {"+"}
+                    labels[v] |= {"-"}
             edgemap[e] = d
 
-        graph = Graph(frozenset(nodes), edges, tgts)
-        if self.instance.kind == "typed":
-            target = TypedGraph(graph, self.instance.typegraph,
-                                Morphism(graph, self.instance.typegraph, node_types, edge_types))
-        elif self.instance.kind == "grpol":
-            target = PolarizedGraph(graph, frozenset(plus), frozenset(minus))
-        else:
-            target = graph
+        target = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
         f = Morphism(source, target, nodemap, edgemap)
         assert validate_morphism(f, self.instance).valid
         return f
@@ -339,74 +320,52 @@ class _Gen:
         extra_nodes = rng.randint(0, 2) if extra_nodes is None else extra_nodes
         extra_edges = rng.randint(0, 2) if extra_edges is None else extra_edges
         g = carrier(lhs)
-        nmap = {x: f"g{i}" for i, x in enumerate(sorted(g.nodes))}
-        emap = {e: f"ge{i}" for i, e in enumerate(sorted(g.src))}
-        nodes = set(nmap.values())
-        edges = {emap[e]: nmap[g.src[e]] for e in g.src}
-        tgts = {emap[e]: nmap[g.tgt[e]] for e in g.src}
-        node_types = (
-            {nmap[x]: lhs.typing.nodemap[x] for x in g.nodes}
-            if self.instance.kind == "typed" else None
-        )
-        edge_types = (
-            {emap[e]: lhs.typing.edgemap[e] for e in g.src}
-            if self.instance.kind == "typed" else None
-        )
-        plus = {nmap[x] for x in lhs.nplus} if self.instance.kind == "grpol" else None
-        minus = {nmap[x] for x in lhs.nminus} if self.instance.kind == "grpol" else None
+        nodemap = {x: f"g{i}" for i, x in enumerate(sorted(g.nodes))}
+        edgemap = {e: f"ge{i}" for i, e in enumerate(sorted(g.src))}
+        nodes = set(nodemap.values())
+        edges = {edgemap[e]: nodemap[g.src[e]] for e in g.src}
+        tgts = {edgemap[e]: nodemap[g.tgt[e]] for e in g.src}
+        labels = _pull(lhs.node_labels, {y: x for x, y in nodemap.items()})
+        edge_labels = _pull(lhs.edge_labels, {d: e for e, d in edgemap.items()})
 
-        types = sorted(self.instance.typegraph.nodes) if self.instance.kind == "typed" else None
-        fresh = []
+        tg = self.typegraph
         for i in range(extra_nodes):
             y = f"gx{i}"
             nodes.add(y)
-            fresh.append(y)
-            if node_types is not None:
-                node_types[y] = rng.choice(types)
-            if plus is not None:
-                if rng.random() < 0.6:
-                    plus.add(y)
-                if rng.random() < 0.6:
-                    minus.add(y)
+            if tg is not None:
+                labels[y] = rng.choice(sorted(tg.nodes))
+            elif self.polarized:
+                labels[y] = self._capabilities("+-", 0.6)
 
         for i in range(extra_edges):
-            if self.instance.kind == "typed":
-                tg = self.instance.typegraph
-                etypes = sorted(tg.src)
-                if not etypes:
+            et = None
+            if tg is not None:
+                if not tg.src:
                     break
-                et = rng.choice(etypes)
-                srcs = [y for y in nodes if node_types[y] == tg.src[et]]
-                tgs = [y for y in nodes if node_types[y] == tg.tgt[et]]
-            elif self.instance.kind == "grpol":
-                # Adding polarity to a matched node would break strictness,
-                # so new edges only touch nodes that already carry it.
-                srcs = sorted(plus)
-                tgs = sorted(minus)
-                et = None
-            else:
-                srcs = sorted(nodes)
-                tgs = sorted(nodes)
-                et = None
+                et = rng.choice(sorted(tg.src))
+            # Polarized hosts only get edges between nodes that already carry
+            # the capabilities: adding one to a matched node breaks strictness.
+            srcs, tgs = self._ends(labels, sorted(nodes), et)
             if not srcs or not tgs:
                 continue
             eid = f"gxe{i}"
             edges[eid] = rng.choice(srcs)
             tgts[eid] = rng.choice(tgs)
-            if edge_types is not None:
-                edge_types[eid] = et
+            if edge_labels is not None:
+                edge_labels[eid] = et
 
-        graph = Graph(frozenset(nodes), edges, tgts)
-        if self.instance.kind == "typed":
-            host = TypedGraph(graph, self.instance.typegraph,
-                              Morphism(graph, self.instance.typegraph, node_types, edge_types))
-        elif self.instance.kind == "grpol":
-            host = PolarizedGraph(graph, frozenset(plus), frozenset(minus))
-        else:
-            host = graph
-        m = Morphism(lhs, host, dict(nmap), dict(emap))
+        host = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
+        m = Morphism(lhs, host, nodemap, edgemap)
         assert validate_morphism(m, self.instance).is_mono_in_M
         return m
+
+    def _ends(self, labels, nodes, label):
+        """The nodes an edge with ``label`` may leave, and those it may enter."""
+        between = self.instance.edge_labels_between
+        tops = self.instance.stars.values()
+        of = dict.fromkeys(nodes) if labels is None else labels
+        return ([y for y in nodes if any(label in between(of[y], top) for top in tops)],
+                [y for y in nodes if any(label in between(top, of[y]) for top in tops)])
 
     # -- rules ------------------------------------------------------------------
 
@@ -433,42 +392,36 @@ class _Gen:
 
     def local_rule(self) -> Rule:
         """A random rule whose embedding leaves the star part intact up to iso:
-        exactly one absorbing node with its loop(s), plus arbitrary extra
-        edges touching the interface."""
+        exactly one absorbing node per type with its loop(s), plus arbitrary
+        extra edges touching the interface."""
         rng = self.rng
         k = self.object("k", nmax=max(1, self.nmax - 2), emax=max(0, self.emax - 3))
         g = carrier(k)
-        if self.instance.kind == "typed":
-            tg = self.instance.typegraph
-            star_nodes = {f"s{t}": t for t in sorted(tg.nodes)}
-            nodes = set(g.nodes) | set(star_nodes)
-            edges = dict(g.src)
-            tgts = dict(g.tgt)
-            node_types = dict(k.typing.nodemap)
-            node_types.update(star_nodes)
-            edge_types = dict(k.typing.edgemap)
-            inv = {t: s for s, t in star_nodes.items()}
+        nodes = set(g.nodes)
+        edges = dict(g.src)
+        tgts = dict(g.tgt)
+        labels = _copied(k.node_labels)
+        edge_labels = _copied(k.edge_labels)
+        tg = self.typegraph
+        if tg is not None:
+            star = {t: f"s{t}" for t in sorted(tg.nodes)}
+            nodes.update(star.values())
+            labels.update({s: t for t, s in star.items()})
             for et in sorted(tg.src):
-                eid = f"s{et}"
-                edges[eid] = inv[tg.src[et]]
-                tgts[eid] = inv[tg.tgt[et]]
-                edge_types[eid] = et
+                edges[f"s{et}"] = star[tg.src[et]]
+                tgts[f"s{et}"] = star[tg.tgt[et]]
+                edge_labels[f"s{et}"] = et
             for i in range(rng.randint(0, 2)):
                 et = rng.choice(sorted(tg.src))
-                srcs = [x for x in g.nodes if node_types[x] == tg.src[et]]
-                tgs = [x for x in nodes if node_types[x] == tg.tgt[et]]
+                srcs = [x for x in sorted(g.nodes) if labels[x] == tg.src[et]]
+                tgs = [x for x in sorted(nodes) if labels[x] == tg.tgt[et]]
                 if not srcs or not tgs:
                     continue
-                eid = f"kx{i}"
-                edges[eid] = rng.choice(srcs)
-                tgts[eid] = rng.choice(tgs)
-                edge_types[eid] = et
-            graph = Graph(frozenset(nodes), edges, tgts)
-            tk = TypedGraph(graph, tg, Morphism(graph, tg, node_types, edge_types))
+                edges[f"kx{i}"] = rng.choice(srcs)
+                tgts[f"kx{i}"] = rng.choice(tgs)
+                edge_labels[f"kx{i}"] = et
         else:
-            nodes = set(g.nodes) | {"s"}
-            edges = dict(g.src)
-            tgts = dict(g.tgt)
+            nodes.add("s")
             edges["sloop"] = "s"
             tgts["sloop"] = "s"
             knodes = sorted(g.nodes)
@@ -477,7 +430,7 @@ class _Gen:
                 tgt = rng.choice(knodes) if src == "s" or rng.random() < 0.5 else "s"
                 edges[f"kx{i}"] = src
                 tgts[f"kx{i}"] = tgt
-            tk = Graph(frozenset(nodes), edges, tgts)
+        tk = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
         t = Morphism(k, tk, {x: x for x in g.nodes}, {e: e for e in g.src})
         l = self._map_from(k, "l")
         r = self._map_from(k, "r")

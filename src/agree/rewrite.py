@@ -13,7 +13,7 @@ their polarity allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Optional
 
 from .catops import (
@@ -31,7 +31,6 @@ from .core import (
     Graph,
     Morphism,
     PolarizedGraph,
-    TypedGraph,
     carrier,
     compose,
     identity,
@@ -261,16 +260,6 @@ def _fiber_vectors(num_fibers: int, total_bound: int):
             yield (first,) + rest
 
 
-def _polarity_choices(allowed_plus: bool, allowed_minus: bool, need_plus: bool, need_minus: bool):
-    plus_opts = [True] if need_plus else ([False, True] if allowed_plus else [False])
-    minus_opts = [True] if need_minus else ([False, True] if allowed_minus else [False])
-    if need_plus and not allowed_plus:
-        return []
-    if need_minus and not allowed_minus:
-        return []
-    return [(p, q) for p in plus_opts for q in minus_opts]
-
-
 def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
                 instance: CategoryInstance, size_bound=None) -> FpbcReport:
     """Bounded finality oracle for a candidate pullback complement.
@@ -358,21 +347,22 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
     return FpbcReport(True, bound, cones)
 
 
+# Capability sets in the order the oracle tries them.
+_CAPABILITY_SETS = (frozenset(), frozenset("-"), frozenset("+"), frozenset("+-"))
+
+
 def _polarized_variants(copies, edges, f_node, g_obj):
-    need_plus = {s for _, s, _ in edges}
-    need_minus = {t for _, _, t in edges}
-    options = []
-    for cid in range(len(copies)):
-        x = f_node[cid]
-        opts = _polarity_choices(x in g_obj.nplus, x in g_obj.nminus,
-                                 cid in need_plus, cid in need_minus)
-        if not opts:
-            return []
-        options.append(opts)
-    out = [[]]
-    for opts in options:
-        out = [prev + [o] for prev in out for o in opts]
-    return out
+    """Every polarity of the competitor's nodes that its edges allow and
+    that stays below the polarity of the node's image in G."""
+    need = [set() for _ in copies]
+    for _, s, t in edges:
+        need[s].add("+")
+        need[t].add("-")
+    labels = g_obj.node_labels
+    return [list(v) for v in product(*(
+        [caps for caps in _CAPABILITY_SETS if need[cid] <= caps <= labels[f_node[cid]]]
+        for cid in range(len(copies))
+    ))]
 
 
 def _check_cone(copies, edges, f_node, pol,
@@ -392,25 +382,12 @@ def _check_cone(copies, edges, f_node, pol,
 
     gk = carrier(k_obj)
     # With m strict, the pullback polarity on the preimage part coincides
-    # with the competitor's own polarity; keep the conjunction anyway.
-    k_pol = None
+    # with the competitor's own polarity; keep the meet anyway.
     if pol is not None:
-        k_pol = {}
-        for cid in kp_nodes:
-            w = d_node[cid]
-            k_pol[cid] = (pol[cid][0] and w in m.source.nplus,
-                          pol[cid][1] and w in m.source.nminus)
+        k_pol = {cid: pol[cid] & m.source.node_labels[d_node[cid]] for cid in kp_nodes}
 
     def h_node_candidates(cid):
-        out = []
-        for k in lfib_nodes[d_node[cid]]:
-            if k_pol is not None:
-                if k_pol[cid][0] and k not in k_obj.nplus:
-                    continue
-                if k_pol[cid][1] and k not in k_obj.nminus:
-                    continue
-            out.append(k)
-        return out
+        return [k for k in lfib_nodes[d_node[cid]] if pol is None or k_pol[cid] <= k_obj.node_labels[k]]
 
     def enumerate_h():
         items = list(kp_nodes) + [("e", ei) for ei in kp_edges]
@@ -452,15 +429,7 @@ def _check_cone(copies, edges, f_node, pol,
             assign = dict(forced_nodes)
 
             def node_cands(cid):
-                out = []
-                for y in afib_nodes[f_node[cid]]:
-                    if pol is not None:
-                        if pol[cid][0] and y not in d_obj.nplus:
-                            continue
-                        if pol[cid][1] and y not in d_obj.nminus:
-                            continue
-                    out.append(y)
-                return out
+                return [y for y in afib_nodes[f_node[cid]] if pol is None or pol[cid] <= d_obj.node_labels[y]]
 
             def edge_choices():
                 # Edge images are independent of each other once the node
@@ -570,15 +539,7 @@ def strict_complement(m: Morphism, instance: CategoryInstance):
     edges = {e for e in g.src if e not in hit_edges and g.src[e] in nodes and g.tgt[e] in nodes}
 
     graph = Graph(frozenset(nodes), {e: g.src[e] for e in edges}, {e: g.tgt[e] for e in edges})
-    if instance.kind == "typed":
-        comp = TypedGraph(graph, instance.typegraph, Morphism(
-            graph, instance.typegraph,
-            {x: g_obj.typing.nodemap[x] for x in nodes},
-            {e: g_obj.typing.edgemap[e] for e in edges}))
-    elif instance.kind == "grpol":
-        comp = PolarizedGraph(graph, g_obj.nplus & nodes, g_obj.nminus & nodes)
-    else:
-        comp = graph
+    comp = instance.make(graph, _restrict(g_obj.node_labels, nodes), _restrict(g_obj.edge_labels, edges))
     incl = Morphism(comp, g_obj, {x: x for x in nodes}, {e: e for e in edges})
 
     ch = characteristic(m, instance)
@@ -586,10 +547,13 @@ def strict_complement(m: Morphism, instance: CategoryInstance):
     apex = carrier(pb.apex)
     assert {pb.p1.nodemap[x] for x in apex.nodes} == nodes
     assert {pb.p1.edgemap[e] for e in apex.src} == edges
-    if instance.kind == "grpol":
-        assert {pb.p1.nodemap[x] for x in pb.apex.nplus} == comp.nplus
-        assert {pb.p1.nodemap[x] for x in pb.apex.nminus} == comp.nminus
+    labels = pb.apex.node_labels
+    assert labels is None or {pb.p1.nodemap[x]: label for x, label in labels.items()} == comp.node_labels
     return comp, incl
+
+
+def _restrict(labels, items):
+    return None if labels is None else {x: labels[x] for x in items}
 
 
 def complement_of_square(n: Morphism, l: Morphism, m: Morphism, g: Morphism,

@@ -219,3 +219,42 @@ class TestErrors:
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["check-rule", "--rule", "/does/not/exist.json"]) == 1
+
+
+def _psqpo_rule_doc(polarity):
+    point = {"nodes": [{"id": "k"}], "edges": []}
+    return {"mode": "PSQPO", "L": point, "K": point, "R": point,
+            "l": {"nodes": {"k": "k"}, "edges": {}}, "r": {"nodes": {"k": "k"}, "edges": {}},
+            "polarity": polarity}
+
+
+_POINT = {"nodes": [{"id": "x"}], "edges": []}
+
+# Each case is an argv; documents in it are written to files first.
+HOSTILE = {
+    "int node id": ["classifier", "--graph", {"nodes": [{"id": 1}], "edges": []}],
+    "list node id": ["classifier", "--graph", {"nodes": [{"id": ["a"]}], "edges": []}],
+    "list edge endpoint": ["apply", "--rule", identity_rule_doc(), "--graph",
+                           {"nodes": [{"id": "a"}], "edges": [{"id": "e", "src": ["a"], "tgt": "a"}]}],
+    "list polarity entry": ["classifier", "--graph", {"nodes": [{"id": "a", "polarity": [["+"]]}]}],
+    "nodes not an array": ["classifier", "--graph", {"nodes": "a", "edges": []}],
+    "graph is an array": ["classifier", "--graph", [{"id": "a"}]],
+    "list morphism map value": ["complement", "--m", {"source": _POINT, "target": host_doc(),
+                                                      "nodes": {"x": ["v"]}, "edges": {}}],
+    "list morphism nodes map": ["complement", "--m", {"source": _POINT, "target": host_doc(),
+                                                      "nodes": ["x"], "edges": {}}],
+    "morphism is an array": ["fpbc", "--l", ["x"], "--m", ["x"]],
+    "list polarity block": ["check-rule", "--rule", _psqpo_rule_doc(["k"])],
+    "list polarity id": ["check-rule", "--rule", _psqpo_rule_doc({"plus": [["k"]], "minus": []})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_documents_give_positioned_errors(case, workdir, capsys):
+    tmp, write = workdir
+    argv = [arg if isinstance(arg, str) else write(f"doc{i}.json", arg)
+            for i, arg in enumerate(HOSTILE[case])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: /") for line in err.splitlines()), err
+    assert "Traceback" not in err

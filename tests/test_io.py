@@ -113,6 +113,13 @@ class TestGraphDocs:
             parse_graph(doc)
         assert any("type graph" in msg for _, msg in err.value.errors)
 
+    def test_typed_edge_between_wrong_types_reported(self):
+        doc = {"nodes": [{"id": "a", "type": "tm"}, {"id": "b", "type": "tm"}],
+               "edges": [{"id": "e", "src": "a", "tgt": "b", "type": "te"}]}
+        with pytest.raises(DocumentError) as err:
+            parse_graph(doc, DEFAULT_TYPEGRAPH)
+        assert err.value.errors == [("/edges", "edge 'e' type 'te' does not match its endpoint types")]
+
     def test_typed_documents_cannot_carry_polarity(self):
         doc = {"nodes": [{"id": "a", "type": "tn", "polarity": ["+"]}], "edges": []}
         with pytest.raises(DocumentError) as err:
@@ -218,3 +225,9 @@ class TestTraceDocs:
         assert set(doc["arrows"]) == {
             "l", "r", "t", "m", "l_prime", "m_bar", "g", "n_prime", "n", "h", "p"}
         json.loads(dumps(doc))
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    out = export_dot(Graph.build(['a"b', "c\\d"], {"e": ('a"b', "c\\d")}))
+    assert '  "a\\"b";\n' in out
+    assert '  "a\\"b" -> "c\\\\d" [label="e"];\n' in out

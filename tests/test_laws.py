@@ -91,3 +91,73 @@ class TestRunLaw:
         for law in ("ETA_CARTESIAN", "PHI_UNIQUE", "COMPLEMENT_T0", "SQPO_AGREE"):
             rep = run_law(law, seed=1, size_bound=(3, 3), instance=inst, count=6)
             assert rep.passed, (law, rep.first_counterexample)
+
+
+def _serialize(value, inst):
+    """Canonical JSON of a generated value, with its endpoint objects embedded."""
+    from agree import Morphism, Rule
+    from agree.io import dumps, graph_doc, morphism_doc, rule_doc
+
+    if isinstance(value, Rule):
+        return dumps(rule_doc(value, inst))
+    if isinstance(value, Morphism):
+        return dumps(morphism_doc(value, with_objects=True))
+    return dumps(graph_doc(value))
+
+
+# sha256 over the serialized values of seeds 0-19, size bound (4, 5).
+GENERATE_DIGESTS = {
+    ("gr", "graph"): "807485a74f656bba5c7b27ffa4675d6bb44a729a7f391100b3895f3b14089138",
+    ("gr", "mono"): "a47041d2e8a461d908fe2b87a0a48ace1b08f85f1930b1c519ff90a405515fc8",
+    ("gr", "morphism"): "18f732b030a2dc33e62c51a1cb841b7fb6ba6c35abbd808388897260209ec986",
+    ("gr", "span-rule"): "13e7ca500586eb986a4e59d5291a61642e34ecd0a47e9db63741f7fbb955015a",
+    ("gr", "psqpo-rule"): "421065e8e56b5cb314b10b95f9087344bbf09c88b57dcf54b952ddb045372c07",
+    ("typed", "graph"): "31ccf16c560aa564f1164f324e01631496fbb791d4378176dbfdaf81d0092b0b",
+    ("typed", "mono"): "01e1a10b379c50c281d32b139c65aff44b1fdda50f14f4a7f21043efb505e464",
+    ("typed", "morphism"): "00f110482e3f5b352dc9cc73c9020dccd5c93f84e29e19936d06e41c5e236eb1",
+    ("typed", "span-rule"): "bd204ff2fd0c8c42759efc1c7523f02163ea83e1eec353d061ef5e55803ff79a",
+    ("pol", "graph"): "30919b4f718b3548f7bab2956166f36fc00dd471960bc897a2d9bc885c68e734",
+    ("pol", "mono"): "783dcbcfb1d012b02e230842b0debc28114b5c6f1ffb7fb77a95043ad31def84",
+    ("pol", "morphism"): "c189d1a7bf55e949331ec37be273f2be6296a10676f8ea288e5ba44196e141e9",
+    ("pol", "span-rule"): "f08b6cd1ed24afd052e522a10ef19dd26c685d8914fbe7d8b94a31e8f782868d",
+}
+
+
+@pytest.mark.parametrize("category,kind", sorted(GENERATE_DIGESTS))
+def test_generate_draws_are_pinned(category, kind):
+    import hashlib
+
+    inst = default_instance(category)
+    text = "".join(_serialize(generate(kind, seed, (4, 5), inst), inst) for seed in range(20))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATE_DIGESTS[(category, kind)]
+
+
+_DRAW_SCRIPT = """
+import random
+from agree.laws import _Gen, default_instance
+from test_laws import _serialize
+
+inst = default_instance("typed")
+for seed in range(30):
+    gen = _Gen(random.Random(f"hash/{seed}"), (4, 5), inst)
+    rule = gen.local_rule()
+    print(_serialize(rule, inst) + _serialize(gen.match_onto(rule.lhs), inst))
+    print(_serialize(gen.mono(), inst))
+"""
+
+
+def test_draws_do_not_depend_on_the_hash_seed():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _DRAW_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
