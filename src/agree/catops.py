@@ -199,39 +199,75 @@ def _glued(context_labels, rhs_labels, h, p):
 # -- morphism enumeration ------------------------------------------------------
 
 def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
-    """Maps ``obj_x -> obj_y`` in lexicographic order over sorted ids whose
-    labels are ``order``-below their images'; injective ones only if asked."""
+    """Maps ``obj_x -> obj_y`` whose labels are ``order``-below their
+    images'; injective ones only if asked.
+
+    The order is lexicographic over the sorted pattern node ids, then the
+    sorted pattern edge ids, each ranging over sorted host ids.  Pattern
+    nodes are bound in that order against a one-pass index of the host:
+    binding a node checks every pattern edge whose later endpoint it is,
+    and a node with an edge to one bound before it draws its candidates
+    from that node's host neighbours.  Only partial maps without a
+    completion are cut, so the output is that of the plain product search.
+    """
     gx, gy = carrier(obj_x), carrier(obj_y)
     xs = sorted(gx.nodes)
-    ys = sorted(gy.nodes)
     xl, yl = obj_x.node_labels, obj_y.node_labels
     xe, ye = obj_x.edge_labels, obj_y.edge_labels
     out_x, in_x = Counter(gx.src.values()), Counter(gx.tgt.values())
     out_y, in_y = Counter(gy.src.values()), Counter(gy.tgt.values())
 
-    cand = {}
-    for x in xs:
-        cand[x] = [
-            y for y in ys
-            if (xl is None or order(xl[x], yl[y]))
-            and not (injective and (out_y[y] < out_x[x] or in_y[y] < in_x[x]))
-        ]
+    # Host index: sorted edge ids by (src, tgt), sorted neighbours by node.
+    between = {}
+    for d in sorted(gy.src):
+        between.setdefault((gy.src[d], gy.tgt[d]), []).append(d)
+    succ, pred = {}, {}
+    for s, t in sorted(between):
+        succ.setdefault(s, []).append(t)
+        pred.setdefault(t, []).append(s)
 
+    # Per pattern node: the edges checked when it is bound, as (src, tgt,
+    # label), and the earlier neighbours it can draw candidates from, as
+    # (neighbour, host adjacency to read at the neighbour's image).
+    rank = {x: i for i, x in enumerate(xs)}
+    checks = {x: [] for x in xs}
+    anchors = {x: [] for x in xs}
     es = sorted(gx.src)
-    ds = sorted(gy.src)
+    ends = [(gx.src[e], gx.tgt[e], None if xe is None else xe[e]) for e in es]
+    for s, t, label in ends:
+        later, earlier, adjacency = (t, s, succ) if rank[t] >= rank[s] else (s, t, pred)
+        checks[later].append((s, t, label))
+        if earlier != later:
+            anchors[later].append((earlier, adjacency))
 
-    def edge_candidates(e, nodemap):
-        fs, ft = nodemap[gx.src[e]], nodemap[gx.tgt[e]]
-        return [d for d in ds if gy.src[d] == fs and gy.tgt[d] == ft
-                and (xe is None or order(xe[e], ye[d]))]
+    def fits(x, y):
+        return ((xl is None or order(xl[x], yl[y]))
+                and not (injective and (out_y[y] < out_x[x] or in_y[y] < in_x[x])))
+
+    ys = sorted(gy.nodes)
+    free = {x: [y for y in ys if fits(x, y)] for x in xs if not anchors[x]}
+
+    def candidates(x, nodemap):
+        if not anchors[x]:
+            return free[x]
+        near = min((adjacency.get(nodemap[u], ()) for u, adjacency in anchors[x]), key=len)
+        return [y for y in near if fits(x, y)]
+
+    def edges_present(x, nodemap):
+        for s, t, label in checks[x]:
+            ds = between.get((nodemap[s], nodemap[t]))
+            if not ds or (label is not None and not any(order(label, ye[d]) for d in ds)):
+                return False
+        return True
 
     def assign_edges(i, nodemap, edgemap, used_edges):
         if i == len(es):
             yield Morphism(obj_x, obj_y, dict(nodemap), dict(edgemap))
             return
         e = es[i]
-        for d in edge_candidates(e, nodemap):
-            if injective and d in used_edges:
+        s, t, label = ends[i]
+        for d in between.get((nodemap[s], nodemap[t]), ()):
+            if (label is not None and not order(label, ye[d])) or (injective and d in used_edges):
                 continue
             edgemap[e] = d
             used_edges.add(d)
@@ -244,13 +280,14 @@ def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
             yield from assign_edges(0, nodemap, {}, set())
             return
         x = xs[i]
-        for y in cand[x]:
+        for y in candidates(x, nodemap):
             if injective and y in used:
                 continue
             nodemap[x] = y
-            used.add(y)
-            yield from assign_nodes(i + 1, nodemap, used)
-            used.discard(y)
+            if edges_present(x, nodemap):
+                used.add(y)
+                yield from assign_nodes(i + 1, nodemap, used)
+                used.discard(y)
             del nodemap[x]
 
     yield from assign_nodes(0, {}, set())

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import io as docio
+from .catops import enumerate_monos
 from .classifier import t_object
 from .core import GR, GRPOL, Graph, typed_over, validate_morphism
 from .errors import DocumentError, GraphError
@@ -86,11 +88,12 @@ def _pick_match(args, rule, host, instance) -> tuple:
         if not validate_morphism(m, match_instance).is_mono_in_M:
             raise DocumentError([("/", "the given match is not an admissible mono")])
         return m, match_instance
-    matches = enumerate_matches(rule.lhs, host, match_instance)
     index = args.match_index if args.match_index is not None else 0
-    if index < 0 or index >= len(matches):
+    if index < 0:
         return None, match_instance
-    return matches[index], match_instance
+    # Matches come in a fixed order, so the search stops at the one asked for.
+    matches = enumerate_monos(rule.lhs, host, match_instance)
+    return next(islice(matches, index, None), None), match_instance
 
 
 def cmd_apply(args) -> int:

@@ -59,6 +59,25 @@ class TestApply:
         graph = write("graph.json", {"nodes": [{"id": "a"}], "edges": []})
         assert main(["apply", "--rule", rule, "--graph", graph]) == 3
 
+    def test_match_index_picks_the_listed_match(self, workdir, capsys):
+        tmp, write = workdir
+        rule = write("rule.json", identity_rule_doc())
+        graph = write("graph.json", host_doc())
+        assert main(["matches", "--rule", rule, "--graph", graph]) == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert len(listed) == 3
+        for k, match in enumerate(listed):
+            assert main(["apply", "--rule", rule, "--graph", graph, "--match-index", str(k),
+                         "--trace", str(tmp / "by-index.json")]) == 0
+            assert main(["apply", "--rule", rule, "--graph", graph,
+                         "--match", write("match.json", match),
+                         "--trace", str(tmp / "by-match.json")]) == 0
+            assert (tmp / "by-index.json").read_bytes() == (tmp / "by-match.json").read_bytes()
+        capsys.readouterr()
+        for k in ("-1", "3"):
+            assert main(["apply", "--rule", rule, "--graph", graph, "--match-index", k]) == 3
+            assert capsys.readouterr().err.strip() == "no match found"
+
     def test_byte_identical_reruns(self, workdir, capsys):
         tmp, write = workdir
         rule = write("rule.json", identity_rule_doc())
