@@ -40,11 +40,12 @@ def _pair(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-def _checked(instance, source, target, nodemap, edgemap) -> Morphism:
+def _checked(instance, source, target, nodemap, edgemap) -> tuple:
+    """The morphism and its validation report, asserted valid."""
     m = Morphism(source, target, nodemap, edgemap)
     rep = validate_morphism(m, instance)
     assert rep.valid, f"internal construction produced an invalid morphism: {rep.problems}"
-    return m
+    return m, rep
 
 
 @dataclass(frozen=True)
@@ -71,18 +72,8 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     require_object(g.source, instance)
     gx, gy = carrier(f.source), carrier(g.source)
 
-    node_ids = {}
-    for x in sorted(gx.nodes):
-        fx = f.nodemap[x]
-        for y in sorted(gy.nodes):
-            if fx == g.nodemap[y]:
-                node_ids[(x, y)] = _pair(x, y)
-    edge_ids = {}
-    for e in sorted(gx.src):
-        fe = f.edgemap[e]
-        for d in sorted(gy.src):
-            if fe == g.edgemap[d]:
-                edge_ids[(e, d)] = _pair(e, d)
+    node_ids = _join(gx.nodes, gy.nodes, f.nodemap, g.nodemap)
+    edge_ids = _join(gx.src, gy.src, f.edgemap, g.edgemap)
     if len(set(node_ids.values())) != len(node_ids) or len(set(edge_ids.values())) != len(edge_ids):
         raise StructuralError("pair naming collided; source ids embed ambiguous commas")
 
@@ -97,15 +88,24 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
         _meets(instance, f.source.edge_labels, g.source.edge_labels, edge_ids),
     )
 
-    p1 = _checked(instance, apex, f.source,
-                  {nid: x for (x, _), nid in node_ids.items()},
-                  {eid: e for (e, _), eid in edge_ids.items()})
-    p2 = _checked(instance, apex, g.source,
-                  {nid: y for (_, y), nid in node_ids.items()},
-                  {eid: d for (_, d), eid in edge_ids.items()})
+    p1, p1_report = _checked(instance, apex, f.source,
+                             {nid: x for (x, _), nid in node_ids.items()},
+                             {eid: e for (e, _), eid in edge_ids.items()})
+    p2, _ = _checked(instance, apex, g.source,
+                     {nid: y for (_, y), nid in node_ids.items()},
+                     {eid: d for (_, d), eid in edge_ids.items()})
     if validate_morphism(g, instance).is_mono_in_M:
-        assert validate_morphism(p1, instance).is_mono_in_M, "stability of admissible monos failed"
+        assert p1_report.is_mono_in_M, "stability of admissible monos failed"
     return Pullback(apex, p1, p2, f, g)
+
+
+def _join(xs, ys, fmap, gmap) -> dict:
+    """``{(x, y): "(x,y)"}`` for the items with ``fmap[x] == gmap[y]``, in
+    lexicographic order of the sorted ids: a hash join on the image."""
+    by_image = {}
+    for y in sorted(ys):
+        by_image.setdefault(gmap[y], []).append(y)
+    return {(x, y): _pair(x, y) for x in sorted(xs) for y in by_image.get(fmap[x], ())}
 
 
 def _meets(instance, left, right, pair_ids):
@@ -179,8 +179,8 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
         _glued(n.target.edge_labels, r.target.edge_labels, h_edges, p_edges),
     )
 
-    h = _checked(instance, n.target, result, h_nodes, h_edges)
-    p = _checked(instance, r.target, result, p_nodes, p_edges)
+    h, _ = _checked(instance, n.target, result, h_nodes, h_edges)
+    p, _ = _checked(instance, r.target, result, p_nodes, p_edges)
     assert compose(h, n) == compose(p, r)
     return Pushout(result, h, p)
 
@@ -320,11 +320,8 @@ def iso_search(x, y, instance: CategoryInstance) -> Optional[Morphism]:
         return None
     if x.node_labels is not None and Counter(x.node_labels.values()) != Counter(y.node_labels.values()):
         return None
-    for m in enumerate_monos(x, y, instance):
-        rep = validate_morphism(m, instance)
-        if rep.is_iso:
-            return m
-    return None
+    # With equal node and edge counts every admissible mono is an iso.
+    return next(enumerate_monos(x, y, instance), None)
 
 
 def is_pullback_square(p: Morphism, q: Morphism, f: Morphism, g: Morphism,

@@ -8,6 +8,7 @@ output or the requested files, always in canonical form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -237,8 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:

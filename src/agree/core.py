@@ -65,11 +65,12 @@ class Graph:
     edge_labels = None
 
     def __post_init__(self):
-        if set(self.src) != set(self.tgt):
+        if self.src.keys() != self.tgt.keys():
             raise StructuralError("src and tgt must be defined on the same edge set")
-        for e, n in list(self.src.items()) + list(self.tgt.items()):
-            if n not in self.nodes:
-                raise StructuralError(f"edge {e!r} has dangling endpoint {n!r}")
+        if not (self.nodes.issuperset(self.src.values()) and self.nodes.issuperset(self.tgt.values())):
+            for e, n in list(self.src.items()) + list(self.tgt.items()):
+                if n not in self.nodes:
+                    raise StructuralError(f"edge {e!r} has dangling endpoint {n!r}")
 
     @classmethod
     def build(cls, nodes: Iterable[str] = (), edges: Optional[Mapping[str, tuple]] = None) -> "Graph":

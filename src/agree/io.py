@@ -9,6 +9,7 @@ invariant, not just the first one.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Optional
 
 from .core import (
@@ -37,8 +38,53 @@ __all__ = [
 
 
 def dumps(doc) -> str:
-    """Canonical JSON text for a document."""
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Canonical JSON text for a document.
+
+    The text is that of ``json.dumps(doc, indent=2, sort_keys=True,
+    ensure_ascii=False)`` plus a final newline, written directly: with
+    ``indent`` set, ``json`` falls back to its pure-Python encoder.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring
+
+
+def _write(value, newline: str, out: list):
+    """Append the text of ``value`` to ``out``; ``newline`` is a line break
+    followed by the indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            if type(item) is str:
+                out.append(_encode_str(item))
+            else:
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict) and value and all(map(isinstance, value, repeat(str))):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            if type(item) is str:  # most values are ids: no call for them
+                out.append(sep + _encode_str(key) + ": " + _encode_str(item))
+            else:
+                out.append(sep + _encode_str(key) + ": ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # Numbers, constants, empty containers, dicts with non-string keys.
+        text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+        out.append(text.replace("\n", newline))
 
 
 # -- graphs -------------------------------------------------------------------

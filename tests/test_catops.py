@@ -1,5 +1,7 @@
 """Limits, colimits, constants and the square decision procedures."""
 
+import random
+
 import pytest
 
 from agree import (
@@ -25,6 +27,7 @@ from agree import (
     validate_morphism,
     zero,
 )
+from agree.laws import _Gen, default_instance
 
 from helpers import (
     naive_morphisms,
@@ -233,6 +236,39 @@ class TestIsoSearch:
         x = PolarizedGraph(g, frozenset(["a"]), frozenset())
         y = PolarizedGraph(g, frozenset(), frozenset(["a"]))
         assert iso_search(x, y, GRPOL) is None
+
+    @pytest.mark.parametrize("category", ["gr", "typed", "pol"])
+    def test_generated_results_validate_as_isos(self, category):
+        inst = default_instance(category)
+        found = 0
+        for seed in range(40):
+            rng = random.Random(f"iso/{seed}")
+            gen = _Gen(rng, (4, 5), inst)
+            x = gen.object("a")
+            m = gen.mono()
+            for y, must_find in ((_renamed_copy(x, inst, rng), True), (gen.object("b"), False),
+                                 (m.source, False), (m.target, False)):
+                iso = iso_search(x, y, inst)
+                assert iso is not None or not must_find
+                if iso is not None:
+                    assert (iso.source, iso.target) == (x, y)
+                    assert validate_morphism(iso, inst).is_iso
+                    found += 1
+        assert found > 40
+
+
+def _renamed_copy(obj, inst, rng):
+    """An isomorphic copy of ``obj`` whose ids are a shuffled renaming."""
+    g = carrier(obj)
+    nodes = {n: f"c{i}" for i, n in enumerate(rng.sample(sorted(g.nodes), len(g.nodes)))}
+    edges = {e: f"ce{i}" for i, e in enumerate(rng.sample(sorted(g.src), len(g.src)))}
+    graph = Graph(frozenset(nodes.values()), {edges[e]: nodes[g.src[e]] for e in g.src},
+                  {edges[e]: nodes[g.tgt[e]] for e in g.src})
+
+    def renamed(labels, names):
+        return None if labels is None else {names[k]: label for k, label in labels.items()}
+
+    return inst.make(graph, renamed(obj.node_labels, nodes), renamed(obj.edge_labels, edges))
 
 
 class TestPullbackSquares:
