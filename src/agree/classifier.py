@@ -22,6 +22,7 @@ from .core import (
     Morphism,
     carrier,
     compose,
+    derived,
     identity,
     require_object,
     validate_morphism,
@@ -135,8 +136,23 @@ class ClassifiedObject:
 
 
 def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
-    """Enlarge ``y`` with its star part; the unit is the evident inclusion."""
+    """Enlarge ``y`` with its star part; the unit is the evident inclusion.
+
+    The enlargement is built on the first call and kept on ``y``; later
+    calls check that ``y`` belongs to ``instance`` and return an equal
+    value around the kept total object.
+    """
     require_object(y, instance)
+    # Belonging pins the setting, so the enlargement is a fact about ``y`` alone.
+    total, nodemap, edgemap, *stars = derived(y, "_enlargement", _enlarge, y, instance)
+    return ClassifiedObject(y, total, Morphism(y, total, nodemap, edgemap), *stars)
+
+
+def _enlarge(y, instance: CategoryInstance) -> tuple:
+    """Everything of ``y``'s :class:`ClassifiedObject` that does not refer to
+    ``y``: the total object, the unit's two maps and the star index.  Kept
+    on ``y``, it makes no reference cycle, so ``y`` is freed as soon as it
+    is dropped."""
     g = carrier(y)
     stars = _star_nodes(instance, "*")
     if stars.keys() & g.nodes:
@@ -156,12 +172,12 @@ def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
     if y.edge_labels is not None:
         edge_labels = dict(y.edge_labels)
         edge_labels.update({eid: label for eid, (_, _, label) in ends.items()})
-    total = instance.make(Graph(g.nodes | stars.keys(), src, tgt), node_labels, edge_labels)
+    total = instance.make(Graph(g.nodes.union(stars), src, tgt), node_labels, edge_labels)
 
     unit = Morphism(y, total, {n: n for n in g.nodes}, {e: e for e in g.src})
     rep = validate_morphism(unit, instance)
     assert rep.is_mono_in_M
-    return ClassifiedObject(y, total, unit, frozenset(stars), frozenset(ends), ends)
+    return total, unit.nodemap, unit.edgemap, frozenset(stars), frozenset(ends), ends
 
 
 def t_morphism(f: Morphism, instance: CategoryInstance) -> Morphism:
@@ -218,17 +234,10 @@ class Characteristic:
     false_pt: Morphism  # 1 -> T(1)
 
 
-def characteristic(m: Morphism, instance: CategoryInstance) -> Characteristic:
-    """Characteristic arrow of an admissible mono, with the two points of T(1).
-
-    ``true`` is the unit at the final object; ``false`` routes through the
-    enlargement of the initial object, which is itself final.
-    """
+def _points(instance: CategoryInstance) -> tuple:
+    """The final object and the ``true`` and ``false`` points of T(1)."""
     one = final_object(instance)
-    chi = phi(m, _into(one, m.source, instance), instance)
-    c_one = t_object(one, instance)
     c_zero = t_object(initial_object(instance), instance)
-
     b = _into(one, c_zero.total, instance)
     rep = validate_morphism(b, instance)
     assert rep.is_iso, "the enlarged initial object must be final"
@@ -236,4 +245,16 @@ def characteristic(m: Morphism, instance: CategoryInstance) -> Characteristic:
                      {v: k for k, v in b.nodemap.items()},
                      {v: k for k, v in b.edgemap.items()})
     false_pt = compose(t_morphism(zero(one, instance), instance), b_inv)
-    return Characteristic(chi, c_one.unit, false_pt)
+    return one, t_object(one, instance).unit, false_pt
+
+
+def characteristic(m: Morphism, instance: CategoryInstance) -> Characteristic:
+    """Characteristic arrow of an admissible mono, with the two points of T(1).
+
+    ``true`` is the unit at the final object; ``false`` routes through the
+    enlargement of the initial object, which is itself final.  Both points
+    depend only on the setting: they are built once per instance and kept
+    on it.
+    """
+    one, true_pt, false_pt = derived(instance, "_classifier_points", _points, instance)
+    return Characteristic(phi(m, _into(one, m.source, instance), instance), true_pt, false_pt)

@@ -19,7 +19,11 @@ label-preserving.
 
 Values hold plain ``dict``s, so they are not hashable; every function here
 treats them as read-only, and callers must not mutate them after
-construction.
+construction.  That contract is load-bearing: :func:`derived` keeps facts
+computed from a value on the value itself (a morphism's validation report,
+an object's enlargement, an instance's classifier points), and every later
+call reads the kept fact instead of looking at the value again.  A value
+changed after construction would answer with facts about its old self.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "typed_over",
     "set_category",
     "carrier",
+    "derived",
     "belongs",
     "require_object",
     "identity",
@@ -164,6 +169,23 @@ class Morphism:
     edgemap: dict
 
 
+def derived(value, name: str, build: Callable, *args):
+    """The fact ``name`` about the read-only ``value``: ``build(*args)``,
+    computed on the first call and kept on ``value`` for every later one.
+
+    The fact sits in ``value``'s instance dict, outside its fields, so it
+    takes no part in equality or ``repr`` and lives and dies with
+    ``value``.  ``build(*args)`` must give the same answer on every call
+    that reaches it with this ``value``, and never ``None``.  A ``build``
+    that raises keeps nothing, so the next call raises again.
+    """
+    facts = vars(value)
+    fact = facts.get(name)
+    if fact is None:
+        fact = facts[name] = build(*args)
+    return fact
+
+
 def carrier(obj: Object) -> Graph:
     """The underlying plain graph of any of the three object kinds."""
     if isinstance(obj, Graph):
@@ -193,6 +215,9 @@ class CategoryInstance:
       unlabelled edge).
 
     Plain graphs carry no labels, so the constructions skip label work there.
+    Facts that depend on the setting alone, such as the classifier's final
+    object and the two points of its enlargement, are built on first use
+    and kept on the instance (see :func:`derived`).
     """
 
     kind: str
@@ -338,11 +363,17 @@ def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport
     is also injective and label-preserving, an iso bijective and
     label-preserving.  Dangling map entries raise :class:`StructuralError`;
     a well-formed map that fails an obligation yields ``valid=False`` with
-    the reasons.
+    the reasons.  The ends and the map entries are checked on every call;
+    the report is computed on the first and kept on ``f``.
     """
     require_object(f.source, instance)
     require_object(f.target, instance)
     _structural_check(f)
+    # The ends pin the setting, so the report is a fact about ``f`` alone.
+    return derived(f, "_report", _report, f, instance.leq)
+
+
+def _report(f: Morphism, leq) -> MorphismReport:
     sg, tg = carrier(f.source), carrier(f.target)
 
     problems = []
@@ -356,7 +387,7 @@ def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport
             if f.nodemap[sg.src[e]] != tg.src[d] or f.nodemap[sg.tgt[e]] != tg.tgt[d]:
                 problems.append(f"edge {e!r} is not mapped homomorphically")
                 break
-        preserved, below = _label_order(f, instance.leq)
+        preserved, below = _label_order(f, leq)
         if not below:
             problems.append("labels are not preserved")
 

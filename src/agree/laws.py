@@ -525,6 +525,8 @@ def _law_complement_tl_iso(gen, instance, inject):
 
 
 def _law_locality(gen, instance, inject):
+    if instance.kind == "grpol":
+        raise PreconditionError("LOCALITY runs over plain and typed graphs")
     rule = inject if inject is not None else gen.local_rule()
     m = gen.match_onto(rule.lhs)
     ok = is_local_rule(rule, instance)
@@ -541,6 +543,8 @@ def _law_fpbc_final(gen, instance, inject):
 
 
 def _law_sqpo_agree(gen, instance, inject):
+    if instance.kind == "grpol":
+        raise PreconditionError("SQPO_AGREE runs over plain and typed graphs")
     rule = inject if inject is not None else gen.span_rule()
     m = gen.match_onto(rule.lhs)
     via_step = agree_step(rule, m, instance).result

@@ -16,6 +16,7 @@ from agree import (
     carrier,
     characteristic,
     compose,
+    default_instance,
     final_object,
     generate,
     identity,
@@ -78,6 +79,14 @@ class TestTObject:
     def test_reserved_id_collision_detected(self):
         with pytest.raises(StructuralError):
             t_object(Graph.build(["*"]), GR)
+
+    @pytest.mark.parametrize("kind", ["gr", "typed", "pol"])
+    def test_enlarged_carrier_is_frozen(self, kind):
+        inst = default_instance(kind)
+        y = generate("graph", 3, (2, 2), inst)
+        nodes = carrier(t_object(y, inst).total).nodes
+        assert type(nodes) is frozenset
+        assert nodes == carrier(y).nodes | {"*" + s for s in inst.stars}
 
     def test_unit_is_admissible_mono(self):
         for seed in range(10):

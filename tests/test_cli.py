@@ -213,6 +213,22 @@ class TestLaws:
         assert main(["laws", "--law", "FPBC_FINAL"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("law, category, settings", [
+        ("LOCALITY", "pol", "plain and typed graphs"),
+        ("SQPO_AGREE", "pol", "plain and typed graphs"),
+        ("PSQPO_AGREE", "pol", "plain graphs"),
+    ])
+    def test_law_outside_its_settings_is_input_error(self, law, category, settings, capsys):
+        assert main(["laws", "--law", law, "--category", category]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {law} runs over {settings}\n"
+
+    def test_fpbc_final_runs_over_polarized_graphs(self, capsys):
+        # Seed 1 draws instances whose finality check takes well under a second.
+        assert main(["laws", "--law", "FPBC_FINAL", "--category", "pol", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.startswith("FPBC_FINAL [grpol]: PASS")
+
     def test_law_failure_exits_2(self, capsys, monkeypatch):
         import agree.cli as cli
         from agree.laws import LawReport
