@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     CategoryInstance,
@@ -198,33 +198,50 @@ def _glued(context_labels, rhs_labels, h, p):
 
 # -- morphism enumeration ------------------------------------------------------
 
-def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
-    """Maps ``obj_x -> obj_y`` whose labels are ``order``-below their
-    images'; injective ones only if asked.
+class _Host(NamedTuple):
+    """A host as the search reads it: sorted node ids, labels, edge ids by
+    ``(src, tgt)``, sorted neighbours by node, and degrees."""
 
-    The order is lexicographic over the sorted pattern node ids, then the
-    sorted pattern edge ids, each ranging over sorted host ids.  Pattern
-    nodes are bound in that order against a one-pass index of the host:
-    binding a node checks every pattern edge whose later endpoint it is,
-    and a node with an edge to one bound before it draws its candidates
-    from that node's host neighbours.  Only partial maps without a
-    completion are cut, so the output is that of the plain product search.
-    """
-    gx, gy = carrier(obj_x), carrier(obj_y)
-    xs = sorted(gx.nodes)
-    xl, yl = obj_x.node_labels, obj_y.node_labels
-    xe, ye = obj_x.edge_labels, obj_y.edge_labels
-    out_x, in_x = Counter(gx.src.values()), Counter(gx.tgt.values())
-    out_y, in_y = Counter(gy.src.values()), Counter(gy.tgt.values())
+    nodes: list
+    node_labels: Optional[dict]
+    edge_labels: Optional[dict]
+    between: dict
+    succ: dict
+    pred: dict
+    out_degree: Counter
+    in_degree: Counter
 
-    # Host index: sorted edge ids by (src, tgt), sorted neighbours by node.
+
+def _host_index(graph: Graph, node_labels, edge_labels) -> _Host:
+    """One pass over the host; every search into it reads the result."""
     between = {}
-    for d in sorted(gy.src):
-        between.setdefault((gy.src[d], gy.tgt[d]), []).append(d)
+    for d in sorted(graph.src):
+        between.setdefault((graph.src[d], graph.tgt[d]), []).append(d)
     succ, pred = {}, {}
     for s, t in sorted(between):
         succ.setdefault(s, []).append(t)
         pred.setdefault(t, []).append(s)
+    return _Host(sorted(graph.nodes), node_labels, edge_labels, between, succ, pred,
+                 Counter(graph.src.values()), Counter(graph.tgt.values()))
+
+
+def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterator[tuple]:
+    """``(nodemap, edgemap)`` of every map from the pattern ``gx``, labelled
+    ``xl``/``xe``, into ``host`` whose labels are ``order``-below their
+    images'; injective ones only if asked.
+
+    The order is lexicographic over the sorted pattern node ids, then the
+    sorted pattern edge ids, each ranging over sorted host ids.  Pattern
+    nodes are bound in that order: binding a node checks every pattern
+    edge whose later endpoint it is, and a node with an edge to one bound
+    before it draws its candidates from that node's host neighbours.  Only
+    partial maps without a completion are cut, so the output is that of
+    the plain product search.
+    """
+    xs = sorted(gx.nodes)
+    yl, ye, between = host.node_labels, host.edge_labels, host.between
+    out_x, in_x = (Counter(gx.src.values()), Counter(gx.tgt.values())) if injective else ({}, {})
+    out_y, in_y = host.out_degree, host.in_degree
 
     # Per pattern node: the edges checked when it is bound, as (src, tgt,
     # label), and the earlier neighbours it can draw candidates from, as
@@ -235,7 +252,7 @@ def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
     es = sorted(gx.src)
     ends = [(gx.src[e], gx.tgt[e], None if xe is None else xe[e]) for e in es]
     for s, t, label in ends:
-        later, earlier, adjacency = (t, s, succ) if rank[t] >= rank[s] else (s, t, pred)
+        later, earlier, adjacency = (t, s, host.succ) if rank[t] >= rank[s] else (s, t, host.pred)
         checks[later].append((s, t, label))
         if earlier != later:
             anchors[later].append((earlier, adjacency))
@@ -244,8 +261,7 @@ def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
         return ((xl is None or order(xl[x], yl[y]))
                 and not (injective and (out_y[y] < out_x[x] or in_y[y] < in_x[x])))
 
-    ys = sorted(gy.nodes)
-    free = {x: [y for y in ys if fits(x, y)] for x in xs if not anchors[x]}
+    free = {x: [y for y in host.nodes if fits(x, y)] for x in xs if not anchors[x]}
 
     def candidates(x, nodemap):
         if not anchors[x]:
@@ -262,7 +278,7 @@ def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
 
     def assign_edges(i, nodemap, edgemap, used_edges):
         if i == len(es):
-            yield Morphism(obj_x, obj_y, dict(nodemap), dict(edgemap))
+            yield dict(nodemap), dict(edgemap)
             return
         e = es[i]
         s, t, label = ends[i]
@@ -291,6 +307,15 @@ def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
             del nodemap[x]
 
     yield from assign_nodes(0, {}, set())
+
+
+def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
+    """The search from ``obj_x`` into a fresh index of ``obj_y``, built on the
+    first ``next``, as morphisms."""
+    host = _host_index(carrier(obj_y), obj_y.node_labels, obj_y.edge_labels)
+    for nodemap, edgemap in _search(host, carrier(obj_x), obj_x.node_labels, obj_x.edge_labels,
+                                    injective=injective, order=order):
+        yield Morphism(obj_x, obj_y, nodemap, edgemap)
 
 
 def enumerate_morphisms(x, y, instance: CategoryInstance) -> Iterator[Morphism]:

@@ -18,7 +18,7 @@ from .catops import enumerate_monos
 from .classifier import t_object
 from .core import GR, GRPOL, Graph, typed_over, validate_morphism
 from .errors import DocumentError, GraphError
-from .laws import LAW_IDS, default_instance, run_law
+from .laws import LAW_IDS, LAWS, default_instance, run_law
 from .rewrite import (
     agree_step,
     enumerate_matches,
@@ -29,12 +29,13 @@ from .rewrite import (
     strict_complement,
 )
 
-_LAW_CATEGORIES = {
-    "LOCALITY": ("gr", "typed"),
-    "SQPO_AGREE": ("gr", "typed"),
-    "FPBC_FINAL": ("gr", "typed"),
-    "PSQPO_AGREE": ("gr",),
-}
+_ALL_SETTINGS = ("gr", "typed", "grpol")
+
+# The settings `agree laws` sweeps a law in when no --law is given, where
+# that is not all three: those of its `LAWS` entry, but FPBC_FINAL not over
+# polarized graphs, where its finality checks take seconds per seed.
+_LAW_CATEGORIES = {law: settings for law, (_, _, settings) in LAWS.items() if settings != _ALL_SETTINGS}
+_LAW_CATEGORIES["FPBC_FINAL"] = ("gr", "typed")
 
 
 def _load(path):
@@ -76,37 +77,34 @@ def _rule_and_graph(args):
 
 def cmd_matches(args) -> int:
     rule, host, instance = _rule_and_graph(args)
-    match_instance = GR if rule.mode == "PSQPO" else instance
-    matches = enumerate_matches(rule.lhs, host, match_instance)
+    matches = enumerate_matches(rule.lhs, host, instance)
     _emit(docio.dumps([docio.morphism_doc(m) for m in matches]))
     return 0
 
 
-def _pick_match(args, rule, host, instance) -> tuple:
-    match_instance = GR if rule.mode == "PSQPO" else instance
+def _pick_match(args, rule, host, instance):
     if args.match:
         m = docio.parse_morphism(_load(args.match), source=rule.lhs, target=host)
-        if not validate_morphism(m, match_instance).is_mono_in_M:
+        if not validate_morphism(m, instance).is_mono_in_M:
             raise DocumentError([("/", "the given match is not an admissible mono")])
-        return m, match_instance
+        return m
     index = args.match_index if args.match_index is not None else 0
     if index < 0:
-        return None, match_instance
+        return None
     # Matches come in a fixed order, so the search stops at the one asked for.
-    matches = enumerate_monos(rule.lhs, host, match_instance)
-    return next(islice(matches, index, None), None), match_instance
+    return next(islice(enumerate_monos(rule.lhs, host, instance), index, None), None)
 
 
 def cmd_apply(args) -> int:
     rule, host, instance = _rule_and_graph(args)
-    m, _ = _pick_match(args, rule, host, instance)
+    m = _pick_match(args, rule, host, instance)
     if m is None:
         print("no match found", file=sys.stderr)
         return 3
     trace = psqpo_step(rule, m) if rule.mode == "PSQPO" else agree_step(rule, m, instance)
     _emit(docio.dumps(docio.graph_doc(trace.result)), args.out)
     if args.trace:
-        _emit(docio.dumps(docio.trace_doc(trace, instance)), args.trace)
+        _emit(docio.dumps(docio.trace_doc(trace)), args.trace)
     if args.dot:
         _emit(docio.export_dot(trace), args.dot)
     return 0
@@ -145,9 +143,8 @@ def cmd_fpbc(args) -> int:
 
 def cmd_check_rule(args) -> int:
     rule, instance = docio.parse_rule(_load(args.rule))
-    check_instance = GR if rule.mode == "PSQPO" else instance
-    in_m = validate_morphism(rule.t, check_instance).is_mono_in_M
-    local = is_local_rule(rule, check_instance)
+    in_m = validate_morphism(rule.t, instance).is_mono_in_M
+    local = is_local_rule(rule, instance)
     print(f"mode: {rule.mode}")
     print(f"embedding-in-M: {str(in_m).lower()}")
     print(f"local: {str(local).lower()}")
@@ -168,7 +165,7 @@ def cmd_complement(args) -> int:
 def cmd_laws(args) -> int:
     instance = default_instance(args.category)
     ids = [args.law] if args.law else [
-        law for law in LAW_IDS if instance.kind in _LAW_CATEGORIES.get(law, ("gr", "typed", "grpol"))
+        law for law in LAW_IDS if instance.kind in _LAW_CATEGORIES.get(law, _ALL_SETTINGS)
     ]
     bound = (args.bound, args.bound + 1)
     failed = False

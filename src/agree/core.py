@@ -147,7 +147,8 @@ class PolarizedGraph:
             n: _CAPABILITIES[n in self.nplus, n in self.nminus] for n in self.graph.nodes})
 
 
-# A polarized node's label: the set of its capabilities.
+# A polarized node's label: the set of its capabilities, listed as
+# ``below`` gives them: none, -, +, both.
 _CAPABILITIES = {(p, m): frozenset(c for c, has in (("+", p), ("-", m)) if has)
                  for p in (False, True) for m in (False, True)}
 
@@ -213,6 +214,8 @@ class CategoryInstance:
     - ``edge_labels_between(a, b)``: the labels an edge from a node
       labelled ``a`` to one labelled ``b`` may carry (``None`` for an
       unlabelled edge).
+    - ``below(a)``: the node labels ``leq`` ``a``, in a fixed order
+      (``None`` where nodes are unlabelled).
 
     Plain graphs carry no labels, so the constructions skip label work there.
     Facts that depend on the setting alone, such as the classifier's final
@@ -227,6 +230,7 @@ class CategoryInstance:
     make: Callable = field(init=False, repr=False, compare=False)
     stars: dict = field(init=False, repr=False, compare=False)
     edge_labels_between: Callable = field(init=False, repr=False, compare=False)
+    below: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("gr", "typed", "grpol"):
@@ -234,7 +238,8 @@ class CategoryInstance:
         if (self.kind == "typed") != (self.typegraph is not None):
             raise PreconditionError("typed instances need a type graph, others must not have one")
         if self.kind == "gr":
-            table = (operator.eq, _first, _plain, {"": None}, lambda a, b: _UNLABELLED_EDGE)
+            table = (operator.eq, _first, _plain, {"": None}, lambda a, b: _UNLABELLED,
+                     lambda a: _UNLABELLED)
         elif self.kind == "typed":
             tg = self.typegraph
             between = {}
@@ -243,11 +248,13 @@ class CategoryInstance:
             table = (operator.eq, _first,
                      lambda graph, nl, el: TypedGraph(graph, tg, Morphism(graph, tg, nl, el)),
                      {f":{t}": t for t in sorted(tg.nodes)},
-                     lambda a, b: between.get((a, b), ()))
+                     lambda a, b: between.get((a, b), ()),
+                     lambda a: (a,))
         else:
             table = (operator.le, operator.and_, _polarized, {"": _CAPABILITIES[True, True]},
-                     lambda a, b: _UNLABELLED_EDGE if "+" in a and "-" in b else ())
-        for name, value in zip(("leq", "meet", "make", "stars", "edge_labels_between"), table):
+                     lambda a, b: _UNLABELLED if "+" in a and "-" in b else (),
+                     lambda a: [caps for caps in _CAPABILITIES.values() if caps <= a])
+        for name, value in zip(("leq", "meet", "make", "stars", "edge_labels_between", "below"), table):
             object.__setattr__(self, name, value)
 
     def star(self, label) -> str:
@@ -255,7 +262,7 @@ class CategoryInstance:
         return next(s for s, top in self.stars.items() if self.leq(label, top))
 
 
-_UNLABELLED_EDGE = (None,)
+_UNLABELLED = (None,)
 
 
 def _first(a, b):

@@ -224,8 +224,7 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
 # -- morphisms ----------------------------------------------------------------
 
 
-def morphism_doc(f: Morphism, with_objects: bool = False,
-                 instance: Optional[CategoryInstance] = None) -> dict:
+def morphism_doc(f: Morphism, with_objects: bool = False) -> dict:
     """Serialize a morphism; with ``with_objects`` the endpoint graphs are
     embedded so the file stands alone."""
     doc = {
@@ -371,7 +370,7 @@ def parse_rule(doc, path: str = ""):
 # -- traces ---------------------------------------------------------------------
 
 
-def trace_doc(trace: RewriteTrace, instance: CategoryInstance) -> dict:
+def trace_doc(trace: RewriteTrace) -> dict:
     """Serialize every object and arrow a rewrite step constructed."""
     return {
         "mode": trace.rule.mode,
@@ -449,7 +448,7 @@ _TRACE_ARROWS = (
 )
 
 
-def export_dot(x, instance: Optional[CategoryInstance] = None) -> str:
+def export_dot(x) -> str:
     """Deterministic DOT text for a graph object or a whole rewrite trace."""
     if isinstance(x, RewriteTrace):
         objs = {

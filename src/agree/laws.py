@@ -49,33 +49,7 @@ from .rewrite import (
     complement_of_square,
 )
 
-__all__ = ["LAW_IDS", "LawReport", "run_law", "generate", "DEFAULT_TYPEGRAPH", "default_instance"]
-
-LAW_IDS = (
-    "ETA_CARTESIAN",
-    "PHI_UNIQUE",
-    "PHI_DECOMP",
-    "COMPLEMENT_T0",
-    "COMPLEMENT_TL_ISO",
-    "LOCALITY",
-    "FPBC_FINAL",
-    "SQPO_AGREE",
-    "PSQPO_AGREE",
-    "COUNIT_ISO",
-)
-
-_DEFAULT_COUNTS = {
-    "ETA_CARTESIAN": 200,
-    "PHI_UNIQUE": 200,
-    "PHI_DECOMP": 200,
-    "COMPLEMENT_T0": 200,
-    "COMPLEMENT_TL_ISO": 200,
-    "LOCALITY": 100,
-    "FPBC_FINAL": 30,
-    "SQPO_AGREE": 100,
-    "PSQPO_AGREE": 100,
-    "COUNIT_ISO": 200,
-}
+__all__ = ["LAWS", "LAW_IDS", "LawReport", "run_law", "generate", "DEFAULT_TYPEGRAPH", "default_instance"]
 
 DEFAULT_TYPEGRAPH = Graph.build(
     ["tn", "tm"], {"te": ("tn", "tn"), "tf": ("tn", "tm"), "tg": ("tm", "tm")}
@@ -455,8 +429,8 @@ class _Gen:
 # -- individual laws --------------------------------------------------------------
 
 
-def _ser_morphism(f, instance):
-    return docio.morphism_doc(f, with_objects=True, instance=instance)
+def _ser_morphism(f):
+    return docio.morphism_doc(f, with_objects=True)
 
 
 def _law_eta_cartesian(gen, instance, inject):
@@ -464,7 +438,7 @@ def _law_eta_cartesian(gen, instance, inject):
     cx = t_object(f.source, instance)
     cy = t_object(f.target, instance)
     ok = is_pullback_square(f, cx.unit, cy.unit, t_morphism(f, instance), instance)
-    return ok, {"f": _ser_morphism(f, instance)}
+    return ok, {"f": _ser_morphism(f)}
 
 
 def _law_phi_unique(gen, instance, inject):
@@ -492,7 +466,7 @@ def _law_phi_unique(gen, instance, inject):
                 if psi != ph:
                     ok = False
         ok = ok and hits == 1
-    return ok, {"m": _ser_morphism(m, instance), "f": _ser_morphism(f, instance)}
+    return ok, {"m": _ser_morphism(m), "f": _ser_morphism(f)}
 
 
 def _law_phi_decomp(gen, instance, inject):
@@ -503,8 +477,8 @@ def _law_phi_decomp(gen, instance, inject):
     g = gen.arrow_into(w, "z")
     pb = pullback(g, n, instance)
     ok = ok and phi(pb.p1, pb.p2, instance) == compose(bar(n, instance), g)
-    return ok, {"m": _ser_morphism(m, instance), "f": _ser_morphism(f, instance),
-                "n": _ser_morphism(n, instance), "g": _ser_morphism(g, instance)}
+    return ok, {"m": _ser_morphism(m), "f": _ser_morphism(f),
+                "n": _ser_morphism(n), "g": _ser_morphism(g)}
 
 
 def _law_complement_t0(gen, instance, inject):
@@ -521,42 +495,36 @@ def _law_complement_tl_iso(gen, instance, inject):
     unit_l = t_object(l.target, instance).unit
     arrow = complement_of_square(unit_k, l, unit_l, t_morphism(l, instance), instance)
     ok = validate_morphism(arrow, instance).is_iso
-    return ok, {"l": _ser_morphism(l, instance)}
+    return ok, {"l": _ser_morphism(l)}
 
 
 def _law_locality(gen, instance, inject):
-    if instance.kind == "grpol":
-        raise PreconditionError("LOCALITY runs over plain and typed graphs")
     rule = inject if inject is not None else gen.local_rule()
     m = gen.match_onto(rule.lhs)
     ok = is_local_rule(rule, instance)
     ok = ok and is_local_step(agree_step(rule, m, instance), instance)
-    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m, instance)}
+    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
 
 
 def _law_fpbc_final(gen, instance, inject):
     l, m = inject if inject is not None else gen.fpbc_pair()
     fp = fpbc(l, m, instance)
     report = fpbc_verify(l, m, fp.n, fp.a, instance)
-    return report.ok, {"l": _ser_morphism(l, instance), "m": _ser_morphism(m, instance),
+    return report.ok, {"l": _ser_morphism(l), "m": _ser_morphism(m),
                        "verify": {"bound": report.bound, "witness": report.counterexample}}
 
 
 def _law_sqpo_agree(gen, instance, inject):
-    if instance.kind == "grpol":
-        raise PreconditionError("SQPO_AGREE runs over plain and typed graphs")
     rule = inject if inject is not None else gen.span_rule()
     m = gen.match_onto(rule.lhs)
     via_step = agree_step(rule, m, instance).result
     fp = fpbc(rule.l, m, instance)
     via_fpbc = pushout_along_mono(fp.n, rule.r, instance).result
     ok = iso_search(via_step, via_fpbc, instance) is not None
-    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m, instance)}
+    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
 
 
 def _law_psqpo_agree(gen, instance, inject):
-    if instance.kind != "gr":
-        raise PreconditionError("PSQPO_AGREE runs over plain graphs")
     rule = inject if inject is not None else gen.psqpo_rule()
     m = gen.match_onto(rule.lhs)
     via_pol = psqpo_step(rule, m).result
@@ -569,7 +537,7 @@ def _law_psqpo_agree(gen, instance, inject):
     fp = fpbc(rule.l, m, instance)
     via_sqpo = pushout_along_mono(fp.n, rule.r, instance).result
     ok = ok and iso_search(via_full, via_sqpo, instance) is not None
-    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m, instance)}
+    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
 
 
 def _law_counit_iso(gen, instance, inject):
@@ -579,21 +547,28 @@ def _law_counit_iso(gen, instance, inject):
     pb = pullback(unit_l, t_morphism(l, instance), instance)
     j = pullback_mediator(pb, l, unit_k)
     ok = validate_morphism(j, instance).is_iso
-    return ok, {"l": _ser_morphism(l, instance)}
+    return ok, {"l": _ser_morphism(l)}
 
 
-_LAWS = {
-    "ETA_CARTESIAN": _law_eta_cartesian,
-    "PHI_UNIQUE": _law_phi_unique,
-    "PHI_DECOMP": _law_phi_decomp,
-    "COMPLEMENT_T0": _law_complement_t0,
-    "COMPLEMENT_TL_ISO": _law_complement_tl_iso,
-    "LOCALITY": _law_locality,
-    "FPBC_FINAL": _law_fpbc_final,
-    "SQPO_AGREE": _law_sqpo_agree,
-    "PSQPO_AGREE": _law_psqpo_agree,
-    "COUNIT_ISO": _law_counit_iso,
+_ALL = ("gr", "typed", "grpol")
+_SETTING_NAMES = {"gr": "plain", "typed": "typed", "grpol": "polarized"}
+
+# Per law: its checker, its default number of instances, and the settings
+# (instance kinds) it runs in.
+LAWS = {
+    "ETA_CARTESIAN": (_law_eta_cartesian, 200, _ALL),
+    "PHI_UNIQUE": (_law_phi_unique, 200, _ALL),
+    "PHI_DECOMP": (_law_phi_decomp, 200, _ALL),
+    "COMPLEMENT_T0": (_law_complement_t0, 200, _ALL),
+    "COMPLEMENT_TL_ISO": (_law_complement_tl_iso, 200, _ALL),
+    "LOCALITY": (_law_locality, 100, ("gr", "typed")),
+    "FPBC_FINAL": (_law_fpbc_final, 30, _ALL),
+    "SQPO_AGREE": (_law_sqpo_agree, 100, ("gr", "typed")),
+    "PSQPO_AGREE": (_law_psqpo_agree, 100, ("gr",)),
+    "COUNIT_ISO": (_law_counit_iso, 200, _ALL),
 }
+
+LAW_IDS = tuple(LAWS)
 
 
 def run_law(law_id: str, seed: int = 0, size_bound=(4, 5), instance: CategoryInstance = GR,
@@ -603,12 +578,15 @@ def run_law(law_id: str, seed: int = 0, size_bound=(4, 5), instance: CategoryIns
     ``inject`` replaces the first generated value, so known counterexamples
     can be replayed (negative controls).
     """
-    if law_id not in _LAWS:
+    if law_id not in LAWS:
         raise UnknownLawError(f"unknown law id {law_id!r}")
+    checker, default_count, settings = LAWS[law_id]
+    if instance.kind not in settings:
+        names = " and ".join(_SETTING_NAMES[kind] for kind in settings)
+        raise PreconditionError(f"{law_id} runs over {names} graphs")
     bound = _norm_bound(size_bound)
-    count = _DEFAULT_COUNTS[law_id] if count is None else count
+    count = default_count if count is None else count
     gen = _Gen(random.Random(f"{law_id}/{seed}"), bound, instance)
-    checker = _LAWS[law_id]
 
     failures = 0
     first = None

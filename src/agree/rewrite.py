@@ -12,11 +12,16 @@ their polarity allows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from functools import cache
+from itertools import chain, combinations_with_replacement, permutations, product
+from math import prod
 from typing import Optional
 
 from .catops import (
+    _host_index,
+    _search,
     enumerate_monos,
     is_pullback_square,
     pullback,
@@ -272,11 +277,17 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
     arrow is chosen independently per component), so only connected
     competitors are enumerated, exhausting all competitors within the bound
     up to isomorphism.
+
+    A competitor ``C -> G`` is a number of copies of each node of G, edges
+    between copies over edges of G, and per copy a label below its
+    image's.  Copies over one node are interchangeable, so only the
+    competitor whose edge slots are least in its orbit under their
+    permutations is checked; ``cones_checked`` counts every competitor and
+    labelling up to the first failure, which is always least in its orbit.
     """
     if compose(m, l) != compose(a, n):
         raise PreconditionError("candidate complement square does not commute")
-    d_obj = n.target
-    gd = carrier(d_obj)
+    gd = carrier(n.target)
     if size_bound is None:
         bound = (len(gd.nodes) + 1, len(gd.src) + 1)
     elif isinstance(size_bound, int):
@@ -290,200 +301,153 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
 
     g_obj = m.target
     gg = carrier(g_obj)
-    k_obj = l.source
-    gk = carrier(k_obj)
-    gl = carrier(m.source)
-
-    inv_m_nodes = {v: k for k, v in m.nodemap.items()}
-    inv_m_edges = {v: k for k, v in m.edgemap.items()}
-    lfib_nodes = {w: sorted(k for k in gk.nodes if l.nodemap[k] == w) for w in gl.nodes}
-    lfib_edges = {c: sorted(e for e in gk.src if l.edgemap[e] == c) for c in gl.src}
-    afib_nodes = {x: sorted(y for y in gd.nodes if a.nodemap[y] == x) for x in gg.nodes}
-    afib_edges = {x: sorted(e for e in gd.src if a.edgemap[e] == x) for x in gg.src}
-
-    polarized = instance.kind == "grpol"
     gnodes = sorted(gg.nodes)
     gedges = sorted(gg.src)
+    check = _factoring_check(m, n, a, instance)
+    label_choices = _label_choices(g_obj, instance)
     cones = 0
 
     for sizes in _fiber_vectors(len(gnodes), node_bound):
         total_nodes = sum(sizes)
         if total_nodes == 0:
             continue
-        copies = []
-        node_of = {}
-        f_node = {}
-        for x, count in zip(gnodes, sizes):
-            for i in range(count):
-                cid = len(copies)
-                copies.append((x, i))
-                node_of[(x, i)] = cid
-                f_node[cid] = x
-        slots = []
-        for ge in gedges:
-            sx, tx = gg.src[ge], gg.tgt[ge]
-            for i in range(sizes[gnodes.index(sx)]):
-                for j in range(sizes[gnodes.index(tx)]):
-                    slots.append((ge, node_of[(sx, i)], node_of[(tx, j)]))
+        copies = [(x, i) for x, count in zip(gnodes, sizes) for i in range(count)]
+        node_of = {copy: cid for cid, copy in enumerate(copies)}
+        size_of = dict(zip(gnodes, sizes))
+        slots = [(ge, node_of[gg.src[ge], i], node_of[gg.tgt[ge], j])
+                 for ge in gedges
+                 for i in range(size_of[gg.src[ge]])
+                 for j in range(size_of[gg.tgt[ge]])]
+        symmetries = _slot_permutations(copies, slots)
         min_edges = max(0, total_nodes - 1)
         for num_edges in range(min_edges, edge_bound + 1):
             for combo in combinations_with_replacement(range(len(slots)), num_edges):
                 edges = [slots[i] for i in combo]
                 if not _connected(total_nodes, ((s, t) for _, s, t in edges)):
                     continue
-                if polarized:
-                    variants = _polarized_variants(copies, edges, f_node, g_obj)
-                else:
-                    variants = [None]
-                for pol in variants:
+                choices = label_choices(copies, edges)
+                ordered = list(combo)
+                if any(sorted(map(table.__getitem__, combo)) < ordered for table in symmetries):
+                    cones += prod(map(len, choices))
+                    continue
+                for labels in product(*choices):
                     cones += 1
-                    witness = _check_cone(
-                        copies, edges, f_node, pol,
-                        inv_m_nodes, inv_m_edges, lfib_nodes, lfib_edges,
-                        afib_nodes, afib_edges, m, n, k_obj, d_obj, gd,
-                    )
+                    witness = check(copies, edges, labels)
                     if witness is not None:
                         return FpbcReport(False, bound, cones, witness)
     return FpbcReport(True, bound, cones)
 
 
-# Capability sets in the order the oracle tries them.
-_CAPABILITY_SETS = (frozenset(), frozenset("-"), frozenset("+"), frozenset("+-"))
+def _slot_permutations(copies, slots) -> list:
+    """Per permutation of the copies inside each fibre, other than the
+    identity, the slot index each slot moves to."""
+    fibres = {}
+    for cid, (x, _) in enumerate(copies):
+        fibres.setdefault(x, []).append(cid)
+    slot_of = {slot: i for i, slot in enumerate(slots)}
+    tables = []
+    for images in product(*map(permutations, fibres.values())):
+        sigma = list(chain.from_iterable(images))
+        if sigma != sorted(sigma):
+            tables.append([slot_of[ge, sigma[s], sigma[t]] for ge, s, t in slots])
+    return tables
 
 
-def _polarized_variants(copies, edges, f_node, g_obj):
-    """Every polarity of the competitor's nodes that its edges allow and
-    that stays below the polarity of the node's image in G."""
-    need = [set() for _ in copies]
-    for _, s, t in edges:
-        need[s].add("+")
-        need[t].add("-")
-    labels = g_obj.node_labels
-    return [list(v) for v in product(*(
-        [caps for caps in _CAPABILITY_SETS if need[cid] <= caps <= labels[f_node[cid]]]
-        for cid in range(len(copies))
-    ))]
+def _label_choices(g_obj, instance: CategoryInstance):
+    """``choices(copies, edges)``: per copy, the labels below its image's
+    that its edges allow, in the order of ``instance.below``."""
+    labels, edge_labels = g_obj.node_labels, g_obj.edge_labels
+    between, tops = instance.edge_labels_between, instance.stars.values()
+
+    @cache
+    def allowed(x, leaving, entering):
+        return [c for c in instance.below(None if labels is None else labels[x])
+                if all(any(e in between(c, top) for top in tops) for e in leaving)
+                and all(any(e in between(top, c) for top in tops) for e in entering)]
+
+    def choices(copies, edges):
+        leaving = [set() for _ in copies]
+        entering = [set() for _ in copies]
+        for ge, s, t in edges:
+            label = None if edge_labels is None else edge_labels[ge]
+            leaving[s].add(label)
+            entering[t].add(label)
+        return [allowed(x, frozenset(leaves), frozenset(enters))
+                for (x, _), leaves, enters in zip(copies, leaving, entering)]
+
+    return choices
 
 
-def _check_cone(copies, edges, f_node, pol,
-                inv_m_nodes, inv_m_edges, lfib_nodes, lfib_edges,
-                afib_nodes, afib_edges, m, n, k_obj, d_obj, gd):
-    """Check existence of exactly one factoring arrow for every lifting of the
-    competitor's pullback part; returns a witness dict on failure."""
-    num = len(copies)
-    f_edge = {ei: ge for ei, (ge, _, _) in enumerate(edges)}
-    ends = {ei: (s, t) for ei, (ge, s, t) in enumerate(edges)}
+def _factoring_check(m: Morphism, n: Morphism, a: Morphism, instance: CategoryInstance):
+    """``check(copies, edges, labels)`` for competitors over ``G``: a witness
+    that the competitor does not factor uniquely through ``(n, a)``, or
+    ``None``.
 
-    # The competitor's pullback along m is its preimage part (m is mono).
-    kp_nodes = [cid for cid in range(num) if f_node[cid] in inv_m_nodes]
-    kp_edges = [ei for ei in range(len(edges)) if f_edge[ei] in inv_m_edges]
-    d_node = {cid: inv_m_nodes[f_node[cid]] for cid in kp_nodes}
-    d_edge = {ei: inv_m_edges[f_edge[ei]] for ei in kp_edges}
+    A copy ``(x, i)`` is the i-th copy over G's node ``x``, an edge
+    ``(G edge, src copy, tgt copy)``.  D and the competitor are searched
+    as slices over G: every item is labelled ``(image in G, own label)``.
+    The cone is final iff restricting to the competitor's part P over the
+    image of ``m`` is a bijection from the arrows C -> D over G onto the
+    lifts P -> D over G; the lifts land in n(K), the square being a
+    pullback.  The witness names the first lift, in the order of its K ids,
+    whose count is not 1; a count of 2 means two or more.
+    """
+    gd = carrier(n.target)
+    host = _host_index(gd, _over(gd.nodes, a.nodemap, n.target.node_labels),
+                       _over(gd.src, a.edgemap, n.target.edge_labels))
+    leq = instance.leq
 
-    gk = carrier(k_obj)
-    # With m strict, the pullback polarity on the preimage part coincides
-    # with the competitor's own polarity; keep the meet anyway.
-    if pol is not None:
-        k_pol = {cid: pol[cid] & m.source.node_labels[d_node[cid]] for cid in kp_nodes}
+    def order(p, q):
+        return p[0] == q[0] and (p[1] is None or leq(p[1], q[1]))
 
-    def h_node_candidates(cid):
-        return [k for k in lfib_nodes[d_node[cid]] if pol is None or k_pol[cid] <= k_obj.node_labels[k]]
+    matched_nodes = set(m.nodemap.values())
+    matched_edges = set(m.edgemap.values())
+    k_node = {y: k for k, y in n.nodemap.items()}
+    k_edge = {d: k for k, d in n.edgemap.items()}
+    g_edge_labels = m.target.edge_labels
 
-    def enumerate_h():
-        items = list(kp_nodes) + [("e", ei) for ei in kp_edges]
+    def check(copies, edges, labels):
+        node_labels = {cid: (x, label) for cid, ((x, _), label) in enumerate(zip(copies, labels))}
+        edge_labels = {ei: (ge, None if g_edge_labels is None else g_edge_labels[ge])
+                       for ei, (ge, _, _) in enumerate(edges)}
+        competitor = Graph(frozenset(node_labels), {ei: s for ei, (_, s, _) in enumerate(edges)},
+                           {ei: t for ei, (_, _, t) in enumerate(edges)})
+        p_nodes = [cid for cid, (x, _) in enumerate(copies) if x in matched_nodes]
+        p_edges = [ei for ei, (ge, _, _) in enumerate(edges) if ge in matched_edges]
+        if len(p_nodes) == len(copies) and len(p_edges) == len(edges):
+            return None  # the competitor is its own part P: restriction is the identity
+        part = Graph(frozenset(p_nodes), {ei: competitor.src[ei] for ei in p_edges},
+                     {ei: competitor.tgt[ei] for ei in p_edges})
 
-        def rec(i, hn, he):
-            if i == len(items):
-                yield dict(hn), dict(he)
-                return
-            it = items[i]
-            if isinstance(it, tuple) and it[0] == "e":
-                ei = it[1]
-                s, t = ends[ei]
-                for ke in lfib_edges[d_edge[ei]]:
-                    if gk.src[ke] == hn[s] and gk.tgt[ke] == hn[t]:
-                        he[ei] = ke
-                        yield from rec(i + 1, hn, he)
-                        del he[ei]
-            else:
-                for k in h_node_candidates(it):
-                    hn[it] = k
-                    yield from rec(i + 1, hn, he)
-                    del hn[it]
+        def restrict(nodemap, edgemap):
+            return tuple(nodemap[cid] for cid in p_nodes), tuple(edgemap[ei] for ei in p_edges)
 
-        yield from rec(0, {}, {})
+        def search(pattern):
+            return (restrict(*maps) for maps in
+                    _search(host, pattern, node_labels, edge_labels, injective=False, order=order))
 
-    kp_set = set(kp_nodes)
-    kp_edge_set = set(kp_edges)
+        lifts = list(search(part))
+        counts = Counter(search(competitor))
+        if len(counts) == len(lifts) and all(count == 1 for count in counts.values()):
+            return None
+        lift = next(lift for lift in sorted(lifts, key=lambda lift: (
+            [k_node[y] for y in lift[0]], [k_edge[d] for d in lift[1]])) if counts[lift] != 1)
+        name = [f"{x}/{i}" for x, i in copies]
+        return {
+            "reason": "factoring arrow not unique" if counts[lift] else "no factoring arrow",
+            "competitor_nodes": dict(zip(name, (x for x, _ in copies))),
+            "competitor_edges": [{"over": ge, "src": name[s], "tgt": name[t]} for ge, s, t in edges],
+            "lift": {name[cid]: k_node[y] for cid, y in zip(p_nodes, lift[0])},
+            "count": min(counts[lift], 2),
+        }
 
-    for hn, he in enumerate_h():
-        # On the preimage part the factoring arrow is forced by g.e = n.h;
-        # only the remaining items are free, with candidates inside the
-        # fibers of a forced by a.g = f.
-        forced_nodes = {cid: n.nodemap[hn[cid]] for cid in kp_nodes}
+    return check
 
-        free_nodes = [cid for cid in range(num) if cid not in kp_set]
-        free_edges = [ei for ei in range(len(edges)) if ei not in kp_edge_set]
 
-        def count_g():
-            assign = dict(forced_nodes)
-
-            def node_cands(cid):
-                return [y for y in afib_nodes[f_node[cid]] if pol is None or pol[cid] <= d_obj.node_labels[y]]
-
-            def edge_choices():
-                # Edge images are independent of each other once the node
-                # images are fixed, so the count is a plain product.
-                prod = 1
-                for ei in free_edges:
-                    s, t = ends[ei]
-                    cnt = 0
-                    for ye in afib_edges[f_edge[ei]]:
-                        if gd.src[ye] == assign[s] and gd.tgt[ye] == assign[t]:
-                            cnt += 1
-                            if cnt >= 2:
-                                break
-                    if cnt == 0:
-                        return 0
-                    prod *= cnt
-                    if prod >= 2:
-                        return 2
-                return prod
-
-            total = 0
-
-            def rec_nodes(i):
-                nonlocal total
-                if total >= 2:
-                    return
-                if i == len(free_nodes):
-                    total += edge_choices()
-                    return
-                cid = free_nodes[i]
-                for y in node_cands(cid):
-                    assign[cid] = y
-                    rec_nodes(i + 1)
-                    del assign[cid]
-                    if total >= 2:
-                        return
-
-            rec_nodes(0)
-            return total
-
-        found = count_g()
-        if found != 1:
-            return {
-                "reason": "factoring arrow not unique" if found else "no factoring arrow",
-                "competitor_nodes": {f"{x}/{i}": x for (x, i) in copies},
-                "competitor_edges": [
-                    {"over": ge, "src": f"{copies[s][0]}/{copies[s][1]}",
-                     "tgt": f"{copies[t][0]}/{copies[t][1]}"}
-                    for ge, s, t in edges
-                ],
-                "lift": {f"{copies[cid][0]}/{copies[cid][1]}": hn[cid] for cid in kp_nodes},
-                "count": found,
-            }
-    return None
+def _over(items, image, own) -> dict:
+    """Slice labels: ``(image, own label)`` per item, the own label ``None``
+    where the setting leaves the items unlabelled."""
+    return {x: (image[x], None if own is None else own[x]) for x in items}
 
 
 def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:

@@ -1,13 +1,20 @@
 """Command-line behavior: subcommands, exit codes, canonical output."""
 
 import json
+import pathlib
 
 import pytest
 
-from agree import GR, iso_search
+import agree.cli
+from agree import GR, Graph, Morphism, carrier, iso_search
 from agree.cli import main
+from agree.rewrite import Fpbc
 from agree.io import dumps, parse_graph
 from test_io import page_copy_rule_doc
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+CLONE_FPBC = ["fpbc", "--l", str(FIXTURES / "clone_l.json"),
+              "--m", str(FIXTURES / "complement_arrow.json"), "--verify"]
 
 
 @pytest.fixture
@@ -165,6 +172,30 @@ class TestFpbc:
         assert main(["fpbc", "--l", l, "--m", m, "--verify"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["D"]["nodes"]) == 4 and len(out["D"]["edges"]) == 4
+
+    def test_shipped_clone_complement_is_final(self, capsys):
+        assert main(CLONE_FPBC) == 0
+        assert capsys.readouterr().err == "finality: ok (bound=(5, 5), cones=755)\n"
+
+    def test_padded_complement_fails_with_a_witness(self, capsys, monkeypatch):
+        real = agree.cli.fpbc
+
+        def padded(l, m, instance):
+            # The complement plus a node over a, which m does not reach.
+            fp = real(l, m, instance)
+            d = carrier(fp.context)
+            ghost = Graph(d.nodes | {"ghost"}, dict(d.src), dict(d.tgt))
+            return Fpbc(Morphism(fp.n.source, ghost, dict(fp.n.nodemap), dict(fp.n.edgemap)),
+                        Morphism(ghost, fp.a.target, dict(fp.a.nodemap, ghost="a"), dict(fp.a.edgemap)),
+                        fp.n_prime)
+
+        monkeypatch.setattr(agree.cli, "fpbc", padded)
+        assert main(CLONE_FPBC) == 2
+        assert capsys.readouterr().err == (
+            "finality: FAILED (bound=(6, 5), cones=382)\n"
+            + dumps({"competitor_edges": [], "competitor_nodes": {"a/0": "a"}, "count": 2,
+                     "lift": {}, "reason": "factoring arrow not unique"})
+            + "\n")
 
 
 class TestCheckRule:

@@ -16,18 +16,17 @@ import pathlib
 import subprocess
 import sys
 
-from agree import LAW_IDS, default_instance, run_law
+from agree import default_instance, run_law
 from agree.cli import main
+from agree.laws import LAWS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 OUTPUTS = ["--out", "h.json", "--trace", "trace.json", "--dot", "trace.dot"]
 
 # The laws-small pairs: every law but FPBC_FINAL in each setting it runs in.
-LAW_PAIRS = [(law, kind) for kind in ("gr", "typed", "pol") for law in LAW_IDS
-             if law != "FPBC_FINAL"
-             and not (law == "PSQPO_AGREE" and kind != "gr")
-             and not (law in ("LOCALITY", "SQPO_AGREE") and kind == "pol")]
+LAW_PAIRS = [(law, kind) for kind in ("gr", "typed", "pol") for law, (_, _, settings) in LAWS.items()
+             if law != "FPBC_FINAL" and default_instance(kind).kind in settings]
 
 
 # (rule, graph, match) of each shipped scenario.
@@ -63,6 +62,7 @@ def fixture_commands(typegraphs):
             tg.write_text(json.dumps(typegraph), encoding="utf-8")
             out.append(["classifier", "--graph", path(graph), "--typegraph", str(tg)])
     out.append(["complement", "--m", path("complement_arrow")])
+    out.append(["fpbc", "--l", path("clone_l"), "--m", path("complement_arrow"), "--verify"])
     # An input error: a typed rule against a plain graph.
     out.append(["apply", "--rule", path("web_copy_rule"), "--graph", path("chain_graph")] + OUTPUTS)
     return out

@@ -220,7 +220,7 @@ class TestTraceDocs:
         host = Graph.build(["a", "v"], {"e": ("a", "v")})
         rule = sqpo_rule(identity(point), identity(point), GR)
         m = enumerate_matches(point, host, GR)[0]
-        doc = trace_doc(agree_step(rule, m, GR), GR)
+        doc = trace_doc(agree_step(rule, m, GR))
         assert set(doc["objects"]) == {"L", "K", "R", "TK", "G", "D", "H", "TL"}
         assert set(doc["arrows"]) == {
             "l", "r", "t", "m", "l_prime", "m_bar", "g", "n_prime", "n", "h", "p"}
