@@ -89,7 +89,7 @@ def _pick_match(args, rule, host, instance):
             raise DocumentError([("/", "the given match is not an admissible mono")])
         return m
     index = args.match_index if args.match_index is not None else 0
-    if index < 0:
+    if not 0 <= index <= sys.maxsize:  # no host has more matches than islice can skip
         return None
     # Matches come in a fixed order, so the search stops at the one asked for.
     return next(islice(enumerate_monos(rule.lhs, host, instance), index, None), None)
@@ -126,13 +126,14 @@ def cmd_fpbc(args) -> int:
     l = docio.parse_morphism(ldoc, typegraph=instance.typegraph)
     m = docio.parse_morphism(mdoc, source=l.target, target=None, typegraph=instance.typegraph)
     result = fpbc(l, m, instance)
+    # Verify first, so that a bound the oracle refuses leaves no output behind.
+    report = fpbc_verify(l, m, result.n, result.a, instance, size_bound=args.bound) if args.verify else None
     _emit(docio.dumps({
         "D": docio.graph_doc(result.context),
         "n": docio.morphism_doc(result.n),
         "a": docio.morphism_doc(result.a),
     }))
-    if args.verify:
-        report = fpbc_verify(l, m, result.n, result.a, instance, size_bound=args.bound)
+    if report is not None:
         print(f"finality: {'ok' if report.ok else 'FAILED'} "
               f"(bound={report.bound}, cones={report.cones_checked})", file=sys.stderr)
         if not report.ok:

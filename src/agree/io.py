@@ -9,19 +9,21 @@ invariant, not just the first one.
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, compress, repeat
+from operator import contains, itemgetter, methodcaller
 from typing import Optional
 
 from .core import (
     GR,
-    GRPOL,
     CategoryInstance,
     Graph,
     Morphism,
+    PolarizedGraph,
+    TypedGraph,
     carrier,
     typed_over,
 )
-from .errors import DocumentError
+from .errors import DocumentError, StructuralError
 from .rewrite import Rule, RewriteTrace, agree_rule, psqpo_rule, sqpo_rule
 
 __all__ = [
@@ -58,6 +60,8 @@ def _write(value, newline: str, out: list):
     followed by the indentation of the line ``value`` starts on."""
     if isinstance(value, str):
         out.append(_encode_str(value))
+    elif isinstance(value, list) and value and (text := _record_list(value, newline)) is not None:
+        out.append(text)
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         sep = "[" + inner
@@ -87,6 +91,41 @@ def _write(value, newline: str, out: list):
         out.append(text.replace("\n", newline))
 
 
+def _record_list(value: list, newline: str) -> Optional[str]:
+    """The text of a record list, or ``None`` if ``value`` is not one;
+    ``newline`` is as for :func:`_write`.
+
+    A record list is a list of non-empty dicts that share one set of
+    string keys and hold only ``str`` values, as the node and edge lists of
+    plain and typed graph documents do.  It is written column by column:
+    each column is encoded in one pass, then the columns are interleaved
+    with the fixed text between them in one join.  The first record is
+    tested alone first, so other lists are refused at once.
+    """
+    first = value[0]
+    if not (isinstance(first, dict) and first and all(map(isinstance, first, repeat(str)))
+            and all(map(isinstance, first.values(), repeat(str)))):
+        return None
+    # A record with as many keys as the first, each of them found below, has the same keys.
+    if not (all(map(isinstance, value, repeat(dict))) and all(map(len(first).__eq__, map(len, value)))):
+        return None
+    inner, key_line = newline + "  ", newline + "    "
+    # Per record: the separator before it, then "<key>: " and the value per key, then "}".
+    parts = [chain(["[" + inner], repeat("," + inner, len(value) - 1))]
+    sep = "{"
+    for key in sorted(first):
+        try:
+            column = list(map(itemgetter(key), value))
+        except KeyError:
+            return None
+        if not all(map(isinstance, column, repeat(str))):
+            return None
+        parts += [repeat(sep + key_line + _encode_str(key) + ": "), map(_encode_str, column)]
+        sep = ","
+    parts.append(repeat(inner + "}"))
+    return "".join(chain.from_iterable(zip(*parts))) + newline + "]"
+
+
 # -- graphs -------------------------------------------------------------------
 
 
@@ -110,6 +149,83 @@ def graph_doc(obj) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
+def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
+    """Parse a GraphDoc.
+
+    With ``typegraph`` the result is a typed graph; otherwise the presence
+    of any ``polarity`` key selects a polarized graph, else a plain one.
+    The document is read column by column; only a rejected one is read
+    again entry by entry, to say where each of its problems is.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError([(path or "/", "graph document must be an object")])
+    obj = _read_columns(doc, typegraph)
+    if obj is None:
+        errors = _row_errors(doc, typegraph, path)
+        if not errors:
+            raise StructuralError("the column pass rejected a graph document the row pass accepts")
+        raise DocumentError(errors)
+    return obj
+
+
+def _strings(column: list) -> bool:
+    return all(map(isinstance, column, repeat(str)))
+
+
+def _columns(entries, keys: tuple) -> Optional[list]:
+    """The columns ``keys`` of a list of objects, or ``None`` if an entry is
+    not an object or lacks one of them."""
+    if not (isinstance(entries, list) and all(map(isinstance, entries, repeat(dict)))):
+        return None
+    try:
+        return [list(map(itemgetter(key), entries)) for key in keys]
+    except KeyError:
+        return None
+
+
+_SIGNS = ("+", "-")
+
+
+def _read_columns(doc: dict, typegraph: Optional[Graph]):
+    """The object a graph document describes, or ``None`` if any check of
+    :func:`_row_errors` fails.  Every check is a pass over whole columns."""
+    nodes, edges = doc.get("nodes", []), doc.get("edges", [])
+    typed = typegraph is not None
+    node_cols = _columns(nodes, ("id", "type") if typed else ("id",))
+    edge_cols = _columns(edges, ("id", "src", "tgt", "type") if typed else ("id", "src", "tgt"))
+    if node_cols is None or edge_cols is None or not all(map(_strings, node_cols + edge_cols)):
+        return None
+    nids, (eids, srcs, tgts) = node_cols[0], edge_cols[:3]
+    node_set = frozenset(nids)
+    if (len(node_set) != len(nids) or len(set(eids)) != len(eids)
+            or not (node_set.issuperset(srcs) and node_set.issuperset(tgts))):
+        return None
+    graph = Graph(node_set, dict(zip(eids, srcs)), dict(zip(eids, tgts)))
+
+    if typed:
+        ntypes, etypes = node_cols[1], edge_cols[3]
+        if (any(map(contains, nodes, repeat("polarity"))) or not typegraph.nodes.issuperset(ntypes)
+                or not all(map(typegraph.src.__contains__, etypes))):
+            return None
+        node_types = dict(zip(nids, ntypes))
+        if (list(map(typegraph.src.__getitem__, etypes)) != list(map(node_types.__getitem__, srcs))
+                or list(map(typegraph.tgt.__getitem__, etypes)) != list(map(node_types.__getitem__, tgts))):
+            return None
+        return TypedGraph(graph, typegraph, Morphism(graph, typegraph, node_types, dict(zip(eids, etypes))))
+    if any(map(contains, chain(nodes, edges), repeat("type"))):
+        return None
+    if not any(map(contains, nodes, repeat("polarity"))):
+        return graph
+    pols = list(map(methodcaller("get", "polarity", []), nodes))
+    if not (all(map(isinstance, pols, repeat(list))) and all(map(_SIGNS.__contains__, chain.from_iterable(pols)))):
+        return None
+    nplus = frozenset(compress(nids, map(contains, pols, repeat("+"))))
+    nminus = frozenset(compress(nids, map(contains, pols, repeat("-"))))
+    if not (nplus.issuperset(srcs) and nminus.issuperset(tgts)):
+        return None
+    return PolarizedGraph(graph, nplus, nminus)
+
+
 def _array(doc: dict, key: str, path: str, errors: list) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -124,15 +240,11 @@ def _report_non_strings(entry: dict, keys, p: str, errors: list):
             errors.append((f"{p}/{key}", f"'{key}' must be a string, got {entry[key]!r}"))
 
 
-def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
-    """Parse a GraphDoc.
-
-    With ``typegraph`` the result is a typed graph; otherwise the presence
-    of any ``polarity`` key selects a polarized graph, else a plain one.
-    """
+def _row_errors(doc: dict, typegraph: Optional[Graph], path: str) -> list:
+    """Every problem of a graph document, with its position, found entry by
+    entry.  Problems of the labelling are looked for only in a document
+    that has none of the others."""
     errors = []
-    if not isinstance(doc, dict):
-        raise DocumentError([(path or "/", "graph document must be an object")])
     nodes = _array(doc, "nodes", path, errors)
     edges = _array(doc, "edges", path, errors)
 
@@ -153,7 +265,7 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
         if "polarity" in entry:
             polarized = True
             pol = entry["polarity"]
-            if not isinstance(pol, list) or any(c not in ("+", "-") for c in pol):
+            if not isinstance(pol, list) or any(c not in _SIGNS for c in pol):
                 errors.append((p + "/polarity", f"polarity must be an array of '+' and '-', got {pol!r}"))
                 continue
         seen_nodes[nid] = entry
@@ -193,32 +305,21 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
     elif any("type" in e for e in list(seen_nodes.values()) + list(seen_edges.values())):
         errors.append((path or "/", "type fields need a type graph"))
     if errors:
-        raise DocumentError(errors)
+        return errors
 
-    graph = Graph.build(seen_nodes, {eid: (e["src"], e["tgt"]) for eid, e in seen_edges.items()})
     if typegraph is not None:
         for eid, entry in seen_edges.items():
             et = entry["type"]
             ends = (seen_nodes[entry["src"]]["type"], seen_nodes[entry["tgt"]]["type"])
             if (typegraph.src[et], typegraph.tgt[et]) != ends:
                 errors.append((f"{path}/edges", f"edge {eid!r} type {et!r} does not match its endpoint types"))
-        node_labels = {nid: e["type"] for nid, e in seen_nodes.items()}
-        edge_labels = {eid: e["type"] for eid, e in seen_edges.items()}
-        instance = typed_over(typegraph)
     elif polarized:
-        node_labels = {nid: frozenset(e.get("polarity", [])) for nid, e in seen_nodes.items()}
         for eid, entry in seen_edges.items():
-            if "+" not in node_labels[entry["src"]]:
+            if "+" not in seen_nodes[entry["src"]].get("polarity", []):
                 errors.append((f"{path}/edges", f"edge {eid!r} leaves node {entry['src']!r} without + polarity"))
-            if "-" not in node_labels[entry["tgt"]]:
+            if "-" not in seen_nodes[entry["tgt"]].get("polarity", []):
                 errors.append((f"{path}/edges", f"edge {eid!r} enters node {entry['tgt']!r} without - polarity"))
-        edge_labels = None
-        instance = GRPOL
-    else:
-        return graph
-    if errors:
-        raise DocumentError(errors)
-    return instance.make(graph, node_labels, edge_labels)
+    return errors
 
 
 # -- morphisms ----------------------------------------------------------------

@@ -81,9 +81,13 @@ class LawReport:
 
 def _norm_bound(size_bound) -> tuple:
     if isinstance(size_bound, int):
-        return (size_bound, size_bound + 1 if size_bound else 0)
-    nmax, emax = size_bound
-    return (int(nmax), int(emax))
+        bound = (size_bound, size_bound + 1 if size_bound else 0)
+    else:
+        nmax, emax = size_bound
+        bound = (int(nmax), int(emax))
+    if min(bound) < 0:
+        raise PreconditionError(f"size bounds must not be negative, got {bound}")
+    return bound
 
 
 def _pull(labels, mapping):

@@ -294,6 +294,8 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
         bound = (size_bound, size_bound)
     else:
         bound = (int(size_bound[0]), int(size_bound[1]))
+    if min(bound) < 0:
+        raise PreconditionError(f"size bounds must not be negative, got {bound}")
     node_bound, edge_bound = bound
 
     if not is_pullback_square(l, n, m, a, instance):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 import agree.io
+from agree import DocumentError
+from parse_reference import assert_same_parse, parse_outcome, parse_graph as reference_parse_graph
 
 
 @pytest.fixture(autouse=True)
@@ -19,3 +21,22 @@ def dumps_matches_json(monkeypatch):
         return text
 
     monkeypatch.setattr(agree.io, "dumps", checked)
+
+
+@pytest.fixture(autouse=True)
+def parse_graph_matches_reference(monkeypatch, request):
+    """Every ``parse_graph`` call during a test, from the engine or from the
+    test module, must give what the entry-by-entry parser in
+    ``parse_reference.py`` gives."""
+    parse_graph = agree.io.parse_graph
+
+    def checked(*args, **kwargs):
+        got = parse_outcome(parse_graph, *args, **kwargs)
+        assert_same_parse(got, parse_outcome(reference_parse_graph, *args, **kwargs))
+        if isinstance(got, list):
+            raise DocumentError(got)
+        return got
+
+    monkeypatch.setattr(agree.io, "parse_graph", checked)
+    if getattr(request.module, "parse_graph", None) is parse_graph:
+        monkeypatch.setattr(request.module, "parse_graph", checked)

@@ -81,7 +81,7 @@ class TestApply:
                          "--trace", str(tmp / "by-match.json")]) == 0
             assert (tmp / "by-index.json").read_bytes() == (tmp / "by-match.json").read_bytes()
         capsys.readouterr()
-        for k in ("-1", "3"):
+        for k in ("-1", "3", "99999999999999999999"):
             assert main(["apply", "--rule", rule, "--graph", graph, "--match-index", k]) == 3
             assert capsys.readouterr().err.strip() == "no match found"
 
@@ -177,6 +177,10 @@ class TestFpbc:
         assert main(CLONE_FPBC) == 0
         assert capsys.readouterr().err == "finality: ok (bound=(5, 5), cones=755)\n"
 
+    def test_negative_bound_is_input_error(self, capsys):
+        assert main(CLONE_FPBC + ["--bound", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: size bounds must not be negative, got (-1, -1)\n")
+
     def test_padded_complement_fails_with_a_witness(self, capsys, monkeypatch):
         real = agree.cli.fpbc
 
@@ -259,6 +263,10 @@ class TestLaws:
         # Seed 1 draws instances whose finality check takes well under a second.
         assert main(["laws", "--law", "FPBC_FINAL", "--category", "pol", "--seed", "1"]) == 0
         assert capsys.readouterr().out.startswith("FPBC_FINAL [grpol]: PASS")
+
+    def test_negative_bound_is_input_error(self, capsys):
+        assert main(["laws", "--law", "PHI_UNIQUE", "--bound", "-3"]) == 1
+        assert capsys.readouterr() == ("", "error: size bounds must not be negative, got (-3, -2)\n")
 
     def test_law_failure_exits_2(self, capsys, monkeypatch):
         import agree.cli as cli

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import agree.io
 from agree import generate
 from agree.cli import main
-from agree.io import dumps, graph_doc, morphism_doc, rule_doc
+from agree.io import dumps, graph_doc, morphism_doc, parse_graph, parse_rule, rule_doc
 from agree.laws import default_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,6 +63,73 @@ def test_drawn_mixed_keys(doc):
     assert outcome(dumps, doc) == outcome(reference, doc)
 
 
+# -- record lists: written column by column -------------------------------------
+
+class Sub(str):
+    """A ``str`` subclass: ``json`` writes it as a string."""
+
+
+RECORD_KEYS = STRINGS | st.sampled_from(["{", "}", "{0}", "{}", "}{", "{{id}}", "id", "src", "tgt"])
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts that share one non-empty set of string keys and hold
+    only ``str`` values, some of them ``str`` subclasses."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    values = STRINGS | STRINGS.map(Sub)
+    return draw(st.lists(st.fixed_dictionaries({key: values for key in keys}), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists())
+def test_drawn_record_lists(records):
+    assert dumps(records) == reference(records)
+    assert dumps({"nodes": records, "edges": [records]}) == reference({"nodes": records, "edges": [records]})
+
+
+_OTHERS = st.sampled_from([0, None, True, 1.5, ["a"], ("a",), {"k": "v"}, {}])
+
+
+@st.composite
+def near_record_lists(draw):
+    """A record list with one flaw, in any record: an extra or a missing key,
+    a value that is not a string, an empty or a nested dict, or the list
+    made a tuple."""
+    records = draw(record_lists())
+    i = draw(st.integers(0, len(records) - 1))
+    flaw = draw(st.sampled_from(["extra key", "missing key", "value", "empty", "nested", "tuple"]))
+    if flaw == "extra key":
+        records[i][draw(RECORD_KEYS.filter(lambda key: key not in records[0]))] = draw(STRINGS)
+    elif flaw == "missing key":
+        del records[i][draw(st.sampled_from(sorted(records[i])))]
+    elif flaw == "value":
+        records[i][draw(st.sampled_from(sorted(records[i])))] = draw(_OTHERS)
+    elif flaw == "empty":
+        records[i] = {}
+    elif flaw == "nested":
+        records[i] = {"k": records[i]}
+    else:
+        return tuple(records)
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_record_lists())
+def test_drawn_near_record_lists(records):
+    assert dumps(records) == reference(records)
+    assert dumps([records]) == reference([records])
+
+
+@pytest.mark.parametrize("doc", [
+    [{"a": "1"}, {"a": "2", "b": "3"}], [{"a": "1", "b": "3"}, {"a": "2"}], [{"a": "1"}, {"b": "1"}],
+    [{"a": "1"}, {"a": 2}], [{"a": "1"}, {}], [{"a": "1"}, ["a"]], [{"a": "1"}, "a"], [{"a": {"b": "c"}}],
+    ({"a": "1"}, {"a": "2"}), [{"{": "}", "}": "{", "{0}": "{1}"}], [{1: "a"}], [{"a": "1"}, {1: "a"}],
+])
+def test_hand_written_near_record_lists(doc):
+    assert dumps(doc) == reference(doc)
+
+
 @pytest.mark.parametrize("doc", [
     {}, [], (), [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]}, ([(), ()],),
     {"": "", "é": "é"}, {1: "a", 2: {"b": []}}, {"x": {2.5: [None, True]}},
@@ -78,6 +145,31 @@ def test_hand_written_documents(doc):
 def test_fixture_files(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert dumps(doc) == reference(doc)
+
+
+# The rule whose type graph types each fixture host; plain hosts have none.
+HOST_RULES = {"chain_graph": "clone_node_rule", "web_graph": "web_copy_rule",
+              "network_graph": "anonymize_rule", "three_elements_graph": "nonlocal_keep_one_rule"}
+
+
+def _fixture_objects():
+    """Every fixture host parsed in its setting, and every fixture rule's graphs."""
+    instances = {}
+    for path in sorted(FIXTURES.glob("*_rule.json")):
+        rule, instances[path.stem] = parse_rule(json.loads(path.read_text(encoding="utf-8")))
+        yield from (rule.lhs, rule.interface, rule.rhs, rule.t.target)
+    assert sorted(HOST_RULES) == sorted(path.stem for path in FIXTURES.glob("*_graph.json"))
+    for host, rule in HOST_RULES.items():
+        doc = json.loads((FIXTURES / f"{host}.json").read_text(encoding="utf-8"))
+        yield parse_graph(doc, instances[rule].typegraph)
+
+
+def test_fixture_graph_documents():
+    objects = list(_fixture_objects())
+    assert len(objects) > 25
+    for obj in objects:
+        doc = graph_doc(obj)
+        assert dumps(doc) == reference(doc)
 
 
 def _fixture_commands():

@@ -14,7 +14,7 @@ from itertools import permutations, product
 import pytest
 
 import agree.rewrite
-from agree import Graph, Morphism, default_instance, fpbc, fpbc_verify
+from agree import Graph, Morphism, PreconditionError, default_instance, fpbc, fpbc_verify
 from agree.laws import _Gen
 
 import fpbc_reference
@@ -63,6 +63,15 @@ def test_witness_names_the_first_lift_in_the_order_of_k():
     assert report(got) == report(fpbc_reference.fpbc_verify(l, m, n, a, instance))
     assert got.counterexample["lift"] == {"v/0": "k0"}
     assert got.counterexample["count"] == 2  # three arrows: "two or more"
+
+
+@pytest.mark.parametrize("bound", [-1, (-1, 3), (3, -1)])
+def test_negative_bound_is_refused(bound):
+    instance = default_instance("gr")
+    l, m = _Gen(random.Random(0), (3, 3), instance).fpbc_pair()
+    fp = fpbc(l, m, instance)
+    with pytest.raises(PreconditionError, match="must not be negative"):
+        fpbc_verify(l, m, fp.n, fp.a, instance, size_bound=bound)
 
 
 def _orbit_key(copies, edges):

@@ -6,6 +6,7 @@ from agree import (
     GR,
     Graph,
     Morphism,
+    PreconditionError,
     TypedGraph,
     UnknownLawError,
     agree_rule,
@@ -51,6 +52,11 @@ class TestGenerate:
         with pytest.raises(Exception):
             generate("hypergraph", 0, (3, 3))
 
+    @pytest.mark.parametrize("bound", [-1, (-1, 5), (4, -1)])
+    def test_negative_bound_is_refused(self, bound):
+        with pytest.raises(PreconditionError, match="must not be negative"):
+            generate("graph", 0, bound)
+
 
 class TestRunLaw:
     def test_unknown_law(self):
@@ -62,6 +68,11 @@ class TestRunLaw:
             rep = run_law(law, seed=0, size_bound=(3, 3), instance=GR, count=8)
             assert rep.passed, (law, rep.first_counterexample)
             assert rep.count == 8 and rep.seed == 0
+
+    @pytest.mark.parametrize("bound", [-3, (-1, 5), (4, -1)])
+    def test_negative_bound_is_refused(self, bound):
+        with pytest.raises(PreconditionError, match="must not be negative"):
+            run_law("ETA_CARTESIAN", seed=0, size_bound=bound, instance=GR, count=1)
 
     def test_reports_are_deterministic(self):
         a = run_law("ETA_CARTESIAN", seed=5, size_bound=(3, 3), instance=GR, count=5)
