@@ -79,9 +79,10 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
 
     src = {}
     tgt = {}
+    xsrc, xtgt, ysrc, ytgt = gx.src, gx.tgt, gy.src, gy.tgt
     for (e, d), eid in edge_ids.items():
-        src[eid] = node_ids[(gx.src[e], gy.src[d])]
-        tgt[eid] = node_ids[(gx.tgt[e], gy.tgt[d])]
+        src[eid] = node_ids[(xsrc[e], ysrc[d])]
+        tgt[eid] = node_ids[(xtgt[e], ytgt[d])]
     apex = instance.make(
         Graph(frozenset(node_ids.values()), src, tgt),
         _meets(instance, f.source.node_labels, g.source.node_labels, node_ids),
@@ -101,11 +102,15 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
 
 def _join(xs, ys, fmap, gmap) -> dict:
     """``{(x, y): "(x,y)"}`` for the items with ``fmap[x] == gmap[y]``, in
-    lexicographic order of the sorted ids: a hash join on the image."""
+    lexicographic order of the sorted ids: a hash join on the image.  Only
+    the items of ``ys`` whose image some item of ``xs`` hits are sorted and
+    bucketed."""
+    hit = set(fmap.values())
     by_image = {}
-    for y in sorted(ys):
+    for y in sorted([y for y in ys if gmap[y] in hit]):
         by_image.setdefault(gmap[y], []).append(y)
-    return {(x, y): _pair(x, y) for x in sorted(xs) for y in by_image.get(fmap[x], ())}
+    bucket = by_image.get
+    return {(x, y): f"({x},{y})" for x in sorted(xs) for y in bucket(fmap[x], ())}
 
 
 def _meets(instance, left, right, pair_ids):

@@ -78,11 +78,14 @@ def _absorb(instance: CategoryInstance, obj, mark: str, nodemap: dict, edgemap: 
         star = {label: mark + instance.star(label) for label in set(labels.values())}
         nodes = {x: star[label] for x, label in labels.items()}
     nodes.update(nodemap)
-    edge_labels = obj.edge_labels or {}
-    edges = {
-        e: edgemap[e] if e in edgemap else _edge_id(mark, nodes[g.src[e]], nodes[g.tgt[e]], edge_labels.get(e))
-        for e in g.src
-    }
+    src, tgt = g.src, g.tgt
+    edge_labels = obj.edge_labels
+    if edge_labels is None:
+        edges = {e: edgemap[e] if e in edgemap else f"{mark}({nodes[src[e]]},{nodes[tgt[e]]})"
+                 for e in src}
+    else:
+        edges = {e: edgemap[e] if e in edgemap else f"{mark}({nodes[src[e]]},{nodes[tgt[e]]}):{edge_labels[e]}"
+                 for e in src}
     return nodes, edges
 
 

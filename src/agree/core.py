@@ -137,11 +137,13 @@ class PolarizedGraph:
     def __post_init__(self):
         if not self.nplus <= self.graph.nodes or not self.nminus <= self.graph.nodes:
             raise StructuralError("polarity sets must be subsets of the node set")
-        for e in self.graph.src:
-            if self.graph.src[e] not in self.nplus:
-                raise StructuralError(f"edge {e!r} leaves node {self.graph.src[e]!r} without + polarity")
-            if self.graph.tgt[e] not in self.nminus:
-                raise StructuralError(f"edge {e!r} enters node {self.graph.tgt[e]!r} without - polarity")
+        g = self.graph
+        if not (self.nplus.issuperset(g.src.values()) and self.nminus.issuperset(g.tgt.values())):
+            for e in g.src:  # only to word the error: the first edge that lacks support
+                if g.src[e] not in self.nplus:
+                    raise StructuralError(f"edge {e!r} leaves node {g.src[e]!r} without + polarity")
+                if g.tgt[e] not in self.nminus:
+                    raise StructuralError(f"edge {e!r} enters node {g.tgt[e]!r} without - polarity")
         # Not a field: equality and the constructor only see nplus/nminus.
         object.__setattr__(self, "node_labels", {
             n: _CAPABILITIES[n in self.nplus, n in self.nminus] for n in self.graph.nodes})
@@ -370,37 +372,59 @@ def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport
     is also injective and label-preserving, an iso bijective and
     label-preserving.  Dangling map entries raise :class:`StructuralError`;
     a well-formed map that fails an obligation yields ``valid=False`` with
-    the reasons.  The ends and the map entries are checked on every call;
-    the report is computed on the first and kept on ``f``.
+    the reasons.  The ends and the map entries are checked on every call:
+    the first checks the entries in the pass that computes the report and
+    keeps the report on ``f``, every later one checks them on their own
+    and reads the kept report.
     """
     require_object(f.source, instance)
     require_object(f.target, instance)
-    _structural_check(f)
+    kept = vars(f).get("_report")
+    if kept is not None:
+        _structural_check(f)
+        return kept
     # The ends pin the setting, so the report is a fact about ``f`` alone.
     return derived(f, "_report", _report, f, instance.leq)
 
 
 def _report(f: Morphism, leq) -> MorphismReport:
+    """The report of ``f``, computed in one pass over its map entries that
+    also checks them; a dangling entry is worded by :func:`_structural_check`."""
     sg, tg = carrier(f.source), carrier(f.target)
+    nodemap, edgemap = f.nodemap, f.edgemap
 
     problems = []
     preserved = False
-    if set(f.nodemap) != sg.nodes:
-        problems.append("nodemap is not total on the source nodes")
-    if set(f.edgemap) != set(sg.src):
-        problems.append("edgemap is not total on the source edges")
-    if not problems:
-        for e, d in f.edgemap.items():
-            if f.nodemap[sg.src[e]] != tg.src[d] or f.nodemap[sg.tgt[e]] != tg.tgt[d]:
-                problems.append(f"edge {e!r} is not mapped homomorphically")
-                break
+    node_total = nodemap.keys() == sg.nodes
+    edge_total = edgemap.keys() == sg.src.keys()
+    if not (node_total and edge_total):
+        _structural_check(f)
+        if not node_total:
+            problems.append("nodemap is not total on the source nodes")
+        if not edge_total:
+            problems.append("edgemap is not total on the source edges")
+    else:
+        if not tg.nodes.issuperset(nodemap.values()):
+            _structural_check(f)
+        ssrc, stgt, tsrc, ttgt = sg.src, sg.tgt, tg.src, tg.tgt
+        bent = None
+        try:
+            # No early exit: every image is looked up, so a dangling one raises.
+            for e, d in edgemap.items():
+                if (nodemap[ssrc[e]] != tsrc[d] or nodemap[stgt[e]] != ttgt[d]) and bent is None:
+                    bent = e
+        except KeyError:
+            _structural_check(f)
+            raise
+        if bent is not None:
+            problems.append(f"edge {bent!r} is not mapped homomorphically")
         preserved, below = _label_order(f, leq)
         if not below:
             problems.append("labels are not preserved")
 
     valid = not problems
-    mono = (valid and preserved and len(set(f.nodemap.values())) == len(f.nodemap)
-            and len(set(f.edgemap.values())) == len(f.edgemap))
+    mono = (valid and preserved and len(set(nodemap.values())) == len(nodemap)
+            and len(set(edgemap.values())) == len(edgemap))
     iso = mono and len(tg.nodes) == len(sg.nodes) and len(tg.src) == len(sg.src)
     return MorphismReport(valid, mono, iso, tuple(problems))
 

@@ -129,24 +129,30 @@ def _record_list(value: list, newline: str) -> Optional[str]:
 # -- graphs -------------------------------------------------------------------
 
 
-def _label_field(label) -> tuple:
-    """The document field of a label: a type is a name, polarity a set of capabilities."""
-    if isinstance(label, str):
-        return "type", label
-    return "polarity", [c for c in "+-" if c in label]
-
-
 def graph_doc(obj) -> dict:
-    """Serialize any of the three object kinds to a GraphDoc."""
+    """Serialize any of the three object kinds to a GraphDoc.
+
+    A label map holds labels of one kind, so its first label chooses the
+    field for all its entries: a type is a name, polarity a list of
+    capabilities."""
     g = carrier(obj)
     nodes = [{"id": n} for n in sorted(g.nodes)]
-    edges = [{"id": e, "src": g.src[e], "tgt": g.tgt[e]} for e in sorted(g.src)]
+    src, tgt = g.src, g.tgt
+    edges = [{"id": e, "src": src[e], "tgt": tgt[e]} for e in sorted(src)]
     for entries, labels in ((nodes, obj.node_labels), (edges, obj.edge_labels)):
-        if labels is not None:
+        if not labels:
+            continue
+        if isinstance(next(iter(labels.values())), str):
             for entry in entries:
-                key, value = _label_field(labels[entry["id"]])
-                entry[key] = value
+                entry["type"] = labels[entry["id"]]
+        else:
+            for entry in entries:
+                entry["polarity"] = _POLARITY[labels[entry["id"]]][:]
     return {"nodes": nodes, "edges": edges}
+
+
+# The polarity field of each capability set.
+_POLARITY = {frozenset(caps): list(caps) for caps in ("", "-", "+", "+-")}
 
 
 def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):

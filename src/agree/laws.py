@@ -431,6 +431,9 @@ class _Gen:
 
 
 # -- individual laws --------------------------------------------------------------
+#
+# Each checker returns whether its instance passed and a function that builds
+# the instance's failure payload, so only a failing instance is serialized.
 
 
 def _ser_morphism(f):
@@ -442,7 +445,7 @@ def _law_eta_cartesian(gen, instance, inject):
     cx = t_object(f.source, instance)
     cy = t_object(f.target, instance)
     ok = is_pullback_square(f, cx.unit, cy.unit, t_morphism(f, instance), instance)
-    return ok, {"f": _ser_morphism(f)}
+    return ok, lambda: {"f": _ser_morphism(f)}
 
 
 def _law_phi_unique(gen, instance, inject):
@@ -470,7 +473,7 @@ def _law_phi_unique(gen, instance, inject):
                 if psi != ph:
                     ok = False
         ok = ok and hits == 1
-    return ok, {"m": _ser_morphism(m), "f": _ser_morphism(f)}
+    return ok, lambda: {"m": _ser_morphism(m), "f": _ser_morphism(f)}
 
 
 def _law_phi_decomp(gen, instance, inject):
@@ -481,8 +484,8 @@ def _law_phi_decomp(gen, instance, inject):
     g = gen.arrow_into(w, "z")
     pb = pullback(g, n, instance)
     ok = ok and phi(pb.p1, pb.p2, instance) == compose(bar(n, instance), g)
-    return ok, {"m": _ser_morphism(m), "f": _ser_morphism(f),
-                "n": _ser_morphism(n), "g": _ser_morphism(g)}
+    return ok, lambda: {"m": _ser_morphism(m), "f": _ser_morphism(f),
+                        "n": _ser_morphism(n), "g": _ser_morphism(g)}
 
 
 def _law_complement_t0(gen, instance, inject):
@@ -490,7 +493,7 @@ def _law_complement_t0(gen, instance, inject):
     comp, _ = strict_complement(t_object(obj, instance).unit, instance)
     t0 = t_object(initial_object(instance), instance).total
     ok = iso_search(comp, t0, instance) is not None
-    return ok, {"object": docio.graph_doc(obj)}
+    return ok, lambda: {"object": docio.graph_doc(obj)}
 
 
 def _law_complement_tl_iso(gen, instance, inject):
@@ -499,7 +502,7 @@ def _law_complement_tl_iso(gen, instance, inject):
     unit_l = t_object(l.target, instance).unit
     arrow = complement_of_square(unit_k, l, unit_l, t_morphism(l, instance), instance)
     ok = validate_morphism(arrow, instance).is_iso
-    return ok, {"l": _ser_morphism(l)}
+    return ok, lambda: {"l": _ser_morphism(l)}
 
 
 def _law_locality(gen, instance, inject):
@@ -507,15 +510,15 @@ def _law_locality(gen, instance, inject):
     m = gen.match_onto(rule.lhs)
     ok = is_local_rule(rule, instance)
     ok = ok and is_local_step(agree_step(rule, m, instance), instance)
-    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
+    return ok, lambda: {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
 
 
 def _law_fpbc_final(gen, instance, inject):
     l, m = inject if inject is not None else gen.fpbc_pair()
     fp = fpbc(l, m, instance)
     report = fpbc_verify(l, m, fp.n, fp.a, instance)
-    return report.ok, {"l": _ser_morphism(l), "m": _ser_morphism(m),
-                       "verify": {"bound": report.bound, "witness": report.counterexample}}
+    return report.ok, lambda: {"l": _ser_morphism(l), "m": _ser_morphism(m),
+                               "verify": {"bound": report.bound, "witness": report.counterexample}}
 
 
 def _law_sqpo_agree(gen, instance, inject):
@@ -525,7 +528,7 @@ def _law_sqpo_agree(gen, instance, inject):
     fp = fpbc(rule.l, m, instance)
     via_fpbc = pushout_along_mono(fp.n, rule.r, instance).result
     ok = iso_search(via_step, via_fpbc, instance) is not None
-    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
+    return ok, lambda: {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
 
 
 def _law_psqpo_agree(gen, instance, inject):
@@ -541,7 +544,7 @@ def _law_psqpo_agree(gen, instance, inject):
     fp = fpbc(rule.l, m, instance)
     via_sqpo = pushout_along_mono(fp.n, rule.r, instance).result
     ok = ok and iso_search(via_full, via_sqpo, instance) is not None
-    return ok, {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
+    return ok, lambda: {"rule": docio.rule_doc(rule, instance), "match": _ser_morphism(m)}
 
 
 def _law_counit_iso(gen, instance, inject):
@@ -551,7 +554,7 @@ def _law_counit_iso(gen, instance, inject):
     pb = pullback(unit_l, t_morphism(l, instance), instance)
     j = pullback_mediator(pb, l, unit_k)
     ok = validate_morphism(j, instance).is_iso
-    return ok, {"l": _ser_morphism(l)}
+    return ok, lambda: {"l": _ser_morphism(l)}
 
 
 _ALL = ("gr", "typed", "grpol")
@@ -600,7 +603,7 @@ def run_law(law_id: str, seed: int = 0, size_bound=(4, 5), instance: CategoryIns
         if not ok:
             failures += 1
             if first is None:
-                first = payload
+                first = payload()
     return LawReport(law_id, instance.kind, count, failures == 0, failures, first, seed, bound)
 
 

@@ -1,5 +1,6 @@
 """The hash-joined pullback: the same apex, projections and insertion
-orders as the nested-loop construction it replaced."""
+orders as the nested-loop construction it replaced, also where the join
+sorts and buckets only the right-foot items that the left foot hits."""
 
 import random
 
@@ -8,9 +9,12 @@ import pytest
 from agree import (
     Graph,
     Morphism,
+    PolarizedGraph,
     StructuralError,
+    agree_step,
     bar,
     carrier,
+    fpbc,
     identity,
     pullback,
     t_morphism,
@@ -111,6 +115,94 @@ def test_polarized_fpbc_pullback_matches_the_oracle():
         pb = assert_same_as_oracle(bar(m, inst), t_morphism(l, inst), inst)
         items += len(carrier(pb.apex).nodes)
     assert items > 20
+
+
+def _missed(f, g):
+    """How many items of ``g``'s source have an image ``f`` never hits."""
+    gy = carrier(g.source)
+    nodes, edges = set(f.nodemap.values()), set(f.edgemap.values())
+    return (sum(g.nodemap[y] not in nodes for y in gy.nodes)
+            + sum(g.edgemap[d] not in edges for d in gy.src))
+
+
+@pytest.mark.parametrize("category", ["gr", "typed"])
+def test_small_left_foot_against_a_large_right_foot(category):
+    """The shape ``is_pullback_square(l, n, m, g)`` pulls back after a step:
+    the match ``m: L -> G`` against the context arrow ``g: D -> G``, whose
+    source is far larger and mostly outside the match's image.  Also the
+    feet swapped, and the match against the identity of its host."""
+    inst = default_instance(category)
+    missed = 0
+    for seed in range(15):
+        gen = _Gen(random.Random(f"pullback/large/{category}/{seed}"), (3, 4), inst)
+        rule = gen.span_rule()
+        m = gen.match_onto(rule.lhs, extra_nodes=30, extra_edges=60)
+        g = agree_step(rule, m, inst).g
+        assert len(carrier(g.source).nodes) > 5 * len(carrier(m.source).nodes)
+        assert_same_as_oracle(m, g, inst)
+        assert_same_as_oracle(g, m, inst)
+        assert_same_as_oracle(m, identity(m.target), inst)
+        missed += _missed(m, g)
+    assert missed > 15 * 30
+
+
+def test_polarized_match_against_a_large_context():
+    inst = default_instance("pol")
+    missed = 0
+    for seed in range(15):
+        gen = _Gen(random.Random(f"pullback/large/pol/{seed}"), (3, 4), inst)
+        l, m = gen.fpbc_pair()
+        m = gen.match_onto(m.source, extra_nodes=30, extra_edges=60)
+        a = fpbc(l, m, inst).a
+        assert_same_as_oracle(m, a, inst)
+        assert_same_as_oracle(a, m, inst)
+        missed += _missed(m, a)
+    assert missed > 15 * 30
+
+
+def test_right_foot_items_the_left_never_hits():
+    """A right foot with every kind of item: hit once, hit by several left
+    items, and never hit, in an order unlike the sorted one."""
+    inst = default_instance("gr")
+    z = Graph.build(["z2", "z0", "z1", "z3"], {"c1": ("z0", "z1"), "c0": ("z1", "z1"), "c2": ("z2", "z3")})
+    x = Graph.build(["b", "a", "c"], {"f1": ("a", "b"), "f0": ("b", "b")})
+    f = Morphism(x, z, {"b": "z1", "a": "z0", "c": "z1"}, {"f1": "c1", "f0": "c0"})
+    ys = [f"y{i:02}" for i in range(40, 0, -1)]
+    gmap = {n: ("z0", "z1", "z2", "z3")[int(n[1:]) % 4] for n in ys}
+    by_ends = {z.ends(c): c for c in z.src}
+    edges = {}
+    for i in range(40):
+        for k in (1, 3, 4):
+            s, t = ys[i], ys[(i + k) % 40]
+            if (gmap[s], gmap[t]) in by_ends:
+                edges[f"d{k}.{39 - i}"] = (s, t)
+    g = Morphism(Graph.build(ys, edges), z, gmap,
+                 {d: by_ends[(gmap[s], gmap[t])] for d, (s, t) in edges.items()})
+    pb = assert_same_as_oracle(f, g, inst)
+    assert_same_as_oracle(g, f, inst)
+    assert len(carrier(pb.apex).nodes) == 3 * 10 and carrier(pb.apex).src
+    assert _missed(f, g) > 10
+
+
+def test_polarized_graph_words_its_first_unsupported_edge():
+    """The support check runs on whole columns; the message names the first
+    edge in edge order that lacks support, its + side before its - side."""
+    g = Graph.build(["a", "b", "c"], {"e2": ("a", "b"), "e0": ("c", "a"), "e1": ("b", "c")})
+    cases = [
+        (frozenset("abc"), frozenset("abc"), None),
+        (frozenset("ab"), frozenset("bc"), "edge 'e0' leaves node 'c' without + polarity"),
+        (frozenset("abc"), frozenset("ac"), "edge 'e2' enters node 'b' without - polarity"),
+        (frozenset("bc"), frozenset("ac"), "edge 'e2' leaves node 'a' without + polarity"),
+        (frozenset("a"), frozenset("b"), "edge 'e0' leaves node 'c' without + polarity"),
+        (frozenset("ac"), frozenset("b"), "edge 'e0' enters node 'a' without - polarity"),
+    ]
+    for nplus, nminus, message in cases:
+        if message is None:
+            assert PolarizedGraph(g, nplus, nminus).node_labels["a"] == frozenset("+-")
+            continue
+        with pytest.raises(StructuralError) as err:
+            PolarizedGraph(g, nplus, nminus)
+        assert str(err.value) == message
 
 
 def test_ambiguous_commas_collide():
