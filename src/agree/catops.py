@@ -72,36 +72,36 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     require_object(g.source, instance)
     gx, gy = carrier(f.source), carrier(g.source)
 
-    node_ids = _join(gx.nodes, gy.nodes, f.nodemap, g.nodemap)
-    edge_ids = _join(gx.src, gy.src, f.edgemap, g.edgemap)
-    if len(set(node_ids.values())) != len(node_ids) or len(set(edge_ids.values())) != len(edge_ids):
+    node_x, node_y, node_names = _join(gx.nodes, gy.nodes, f.nodemap, g.nodemap)
+    edge_x, edge_y, edge_names = _join(gx.src, gy.src, f.edgemap, g.edgemap)
+    nodes = frozenset(node_names)
+    if len(nodes) != len(node_names) or len(set(edge_names)) != len(edge_names):
         raise StructuralError("pair naming collided; source ids embed ambiguous commas")
 
-    src = {}
-    tgt = {}
+    # An edge pair's ends are the pairs of its components' ends; the name
+    # table hands back the apex node's own string for each end's name.
+    node_of = dict(zip(node_names, node_names))
     xsrc, xtgt, ysrc, ytgt = gx.src, gx.tgt, gy.src, gy.tgt
-    for (e, d), eid in edge_ids.items():
-        src[eid] = node_ids[(xsrc[e], ysrc[d])]
-        tgt[eid] = node_ids[(xtgt[e], ytgt[d])]
+    src = {eid: node_of[f"({xsrc[e]},{ysrc[d]})"] for eid, e, d in zip(edge_names, edge_x, edge_y)}
+    tgt = {eid: node_of[f"({xtgt[e]},{ytgt[d]})"] for eid, e, d in zip(edge_names, edge_x, edge_y)}
     apex = instance.make(
-        Graph(frozenset(node_ids.values()), src, tgt),
-        _meets(instance, f.source.node_labels, g.source.node_labels, node_ids),
-        _meets(instance, f.source.edge_labels, g.source.edge_labels, edge_ids),
+        Graph(nodes, src, tgt),
+        _meets(instance, f.source.node_labels, g.source.node_labels, node_x, node_y, node_names),
+        _meets(instance, f.source.edge_labels, g.source.edge_labels, edge_x, edge_y, edge_names),
     )
 
     p1, p1_report = _checked(instance, apex, f.source,
-                             {nid: x for (x, _), nid in node_ids.items()},
-                             {eid: e for (e, _), eid in edge_ids.items()})
+                             dict(zip(node_names, node_x)), dict(zip(edge_names, edge_x)))
     p2, _ = _checked(instance, apex, g.source,
-                     {nid: y for (_, y), nid in node_ids.items()},
-                     {eid: d for (_, d), eid in edge_ids.items()})
+                     dict(zip(node_names, node_y)), dict(zip(edge_names, edge_y)))
     if validate_morphism(g, instance).is_mono_in_M:
         assert p1_report.is_mono_in_M, "stability of admissible monos failed"
     return Pullback(apex, p1, p2, f, g)
 
 
-def _join(xs, ys, fmap, gmap) -> dict:
-    """``{(x, y): "(x,y)"}`` for the items with ``fmap[x] == gmap[y]``, in
+def _join(xs, ys, fmap, gmap) -> tuple:
+    """``(left, right, names)``: the pairs ``(x, y)`` with ``fmap[x] ==
+    gmap[y]`` as two columns of ids and their ``"(x,y)"`` names, in
     lexicographic order of the sorted ids: a hash join on the image.  Only
     the items of ``ys`` whose image some item of ``xs`` hits are sorted and
     bucketed."""
@@ -110,13 +110,20 @@ def _join(xs, ys, fmap, gmap) -> dict:
     for y in sorted([y for y in ys if gmap[y] in hit]):
         by_image.setdefault(gmap[y], []).append(y)
     bucket = by_image.get
-    return {(x, y): f"({x},{y})" for x in sorted(xs) for y in bucket(fmap[x], ())}
+    left, right, names = [], [], []
+    for x in sorted(xs):
+        for y in bucket(fmap[x], ()):
+            left.append(x)
+            right.append(y)
+            names.append(f"({x},{y})")
+    return left, right, names
 
 
-def _meets(instance, left, right, pair_ids):
+def _meets(instance, left, right, xs, ys, names):
     if left is None:
         return None
-    return {pid: instance.meet(left[a], right[b]) for (a, b), pid in pair_ids.items()}
+    meet = instance.meet
+    return {name: meet(left[x], right[y]) for name, x, y in zip(names, xs, ys)}
 
 
 def pullback_mediator(pb: Pullback, v: Morphism, w: Morphism) -> Morphism:
@@ -152,34 +159,30 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
         raise PreconditionError("pushout needs a span: the two arrows must share their source")
     if not validate_morphism(n, instance).is_mono_in_M:
         raise PreconditionError("pushout requires the first leg to be an admissible mono")
+    rep = validate_morphism(r, instance)
+    if not rep.valid:
+        raise PreconditionError(f"pushout requires a valid second leg: {rep.problems}")
     gd, gr_ = carrier(n.target), carrier(r.target)
 
-    n_nodes = set(n.nodemap.values())
-    n_edges = set(n.edgemap.values())
-    inv_n = {v: k for k, v in n.nodemap.items()}
-    inv_e = {v: k for k, v in n.edgemap.items()}
+    # Every item is named once: D's items as ``D:`` items, then the glued
+    # ones renamed after their right-hand-side images, in place.
+    p_nodes = {y: "R:" + y for y in gr_.nodes}
+    p_edges = {d: "R:" + d for d in gr_.src}
+    h_nodes = {x: "D:" + x for x in gd.nodes}
+    h_nodes.update({x: p_nodes[r.nodemap[k]] for k, x in n.nodemap.items()})
+    h_edges = {e: "D:" + e for e in gd.src}
+    h_edges.update({e: p_edges[r.edgemap[k]] for k, e in n.edgemap.items()})
 
-    h_nodes = {x: f"D:{x}" if x not in n_nodes else f"R:{r.nodemap[inv_n[x]]}" for x in gd.nodes}
-    p_nodes = {y: f"R:{y}" for y in gr_.nodes}
-    nodes = {h_nodes[x] for x in gd.nodes if x not in n_nodes} | set(p_nodes.values())
-
-    h_edges = {}
-    src = {}
-    tgt = {}
-    for e in gd.src:
-        if e in n_edges:
-            h_edges[e] = f"R:{r.edgemap[inv_e[e]]}"
-        else:
-            eid = f"D:{e}"
-            h_edges[e] = eid
-            src[eid] = h_nodes[gd.src[e]]
-            tgt[eid] = h_nodes[gd.tgt[e]]
-    p_edges = {d: f"R:{d}" for d in gr_.src}
-    for d in gr_.src:
-        src[f"R:{d}"] = p_nodes[gr_.src[d]]
-        tgt[f"R:{d}"] = p_nodes[gr_.tgt[d]]
+    glued = set(n.edgemap.values())
+    kept = [e for e in gd.src if e not in glued]
+    dsrc, dtgt = gd.src, gd.tgt
+    src = {h_edges[e]: h_nodes[dsrc[e]] for e in kept}
+    tgt = {h_edges[e]: h_nodes[dtgt[e]] for e in kept}
+    rsrc, rtgt = gr_.src, gr_.tgt
+    src.update({p_edges[d]: p_nodes[rsrc[d]] for d in rsrc})
+    tgt.update({p_edges[d]: p_nodes[rtgt[d]] for d in rsrc})
     result = instance.make(
-        Graph(frozenset(nodes), src, tgt),
+        Graph(frozenset(h_nodes.values()).union(p_nodes.values()), src, tgt),
         _glued(n.target.node_labels, r.target.node_labels, h_nodes, p_nodes),
         _glued(n.target.edge_labels, r.target.edge_labels, h_edges, p_edges),
     )

@@ -226,7 +226,19 @@ def phi(m: Morphism, f: Morphism, instance: CategoryInstance) -> Morphism:
 
 
 def bar(m: Morphism, instance: CategoryInstance) -> Morphism:
-    """Classify the subobject ``m`` itself: ``phi(m, id)``."""
+    """Classify the subobject ``m`` itself: ``phi(m, id)``.
+
+    The arrow is built on the first call and kept on ``m``; later calls
+    check that ``m``'s ends belong to ``instance`` and return the kept
+    arrow.
+    """
+    require_object(m.source, instance)
+    require_object(m.target, instance)
+    # Belonging pins the setting, so the classifying arrow is a fact about ``m`` alone.
+    return derived(m, "_bar", _classify, m, instance)
+
+
+def _classify(m: Morphism, instance: CategoryInstance) -> Morphism:
     return phi(m, identity(m.source), instance)
 
 

@@ -430,13 +430,16 @@ def _report(f: Morphism, leq) -> MorphismReport:
 
 
 # -- polarity functors -------------------------------------------------------
+#
+# On morphisms they keep the maps: maps are read-only, and facts derived
+# from a morphism are kept on the morphism, not on its maps.
 
 def pol_forget(x):
     """Drop polarity: polarized graphs/morphisms to plain ones."""
     if isinstance(x, PolarizedGraph):
         return x.graph
     if isinstance(x, Morphism):
-        return Morphism(pol_forget(x.source), pol_forget(x.target), dict(x.nodemap), dict(x.edgemap))
+        return Morphism(pol_forget(x.source), pol_forget(x.target), x.nodemap, x.edgemap)
     raise PreconditionError("pol_forget expects a polarized graph or morphism")
 
 
@@ -445,7 +448,7 @@ def pol_induce(x):
     if isinstance(x, Graph):
         return PolarizedGraph(x, x.nodes, x.nodes)
     if isinstance(x, Morphism):
-        return Morphism(pol_induce(x.source), pol_induce(x.target), dict(x.nodemap), dict(x.edgemap))
+        return Morphism(pol_induce(x.source), pol_induce(x.target), x.nodemap, x.edgemap)
     raise PreconditionError("pol_induce expects a plain graph or morphism")
 
 
@@ -454,5 +457,5 @@ def pol_minimal(x):
     if isinstance(x, Graph):
         return PolarizedGraph(x, frozenset(x.src.values()), frozenset(x.tgt.values()))
     if isinstance(x, Morphism):
-        return Morphism(pol_minimal(x.source), pol_minimal(x.target), dict(x.nodemap), dict(x.edgemap))
+        return Morphism(pol_minimal(x.source), pol_minimal(x.target), x.nodemap, x.edgemap)
     raise PreconditionError("pol_minimal expects a plain graph or morphism")

@@ -96,15 +96,16 @@ def _record_list(value: list, newline: str) -> Optional[str]:
     ``newline`` is as for :func:`_write`.
 
     A record list is a list of non-empty dicts that share one set of
-    string keys and hold only ``str`` values, as the node and edge lists of
-    plain and typed graph documents do.  It is written column by column:
-    each column is encoded in one pass, then the columns are interleaved
-    with the fixed text between them in one join.  The first record is
-    tested alone first, so other lists are refused at once.
+    string keys and hold only ``str`` values or lists of ``str``, as the
+    node and edge lists of graph documents do (a polarity is a list).  It
+    is written column by column: each column is encoded in one pass, then
+    the columns are interleaved with the fixed text between them in one
+    join.  The first record is tested alone first, so other lists are
+    refused at once.
     """
     first = value[0]
     if not (isinstance(first, dict) and first and all(map(isinstance, first, repeat(str)))
-            and all(map(isinstance, first.values(), repeat(str)))):
+            and all(map(isinstance, first.values(), repeat((str, list))))):
         return None
     # A record with as many keys as the first, each of them found below, has the same keys.
     if not (all(map(isinstance, value, repeat(dict))) and all(map(len(first).__eq__, map(len, value)))):
@@ -118,12 +119,30 @@ def _record_list(value: list, newline: str) -> Optional[str]:
             column = list(map(itemgetter(key), value))
         except KeyError:
             return None
-        if not all(map(isinstance, column, repeat(str))):
+        texts = _column(column, key_line)
+        if texts is None:
             return None
-        parts += [repeat(sep + key_line + _encode_str(key) + ": "), map(_encode_str, column)]
+        parts += [repeat(sep + key_line + _encode_str(key) + ": "), texts]
         sep = ","
     parts.append(repeat(inner + "}"))
     return "".join(chain.from_iterable(zip(*parts))) + newline + "]"
+
+
+def _column(column: list, newline: str):
+    """The texts of a column's values, if all are ``str`` or all are lists
+    of ``str``, else ``None``; ``newline`` is as for :func:`_write`."""
+    if all(map(isinstance, column, repeat(str))):
+        return map(_encode_str, column)
+    if not (all(map(isinstance, column, repeat(list)))
+            and all(map(isinstance, chain.from_iterable(column), repeat(str)))):
+        return None
+    inner = newline + "  "
+    sep = "," + inner
+    # Each distinct list is encoded once: a polarity column holds at most four.
+    keys = list(map(tuple, column))
+    texts = {key: "[" + inner + sep.join(map(_encode_str, key)) + newline + "]" if key else "[]"
+             for key in set(keys)}
+    return map(texts.__getitem__, keys)
 
 
 # -- graphs -------------------------------------------------------------------

@@ -465,7 +465,7 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
         raise PreconditionError("match must start at the rule's left-hand side")
 
     khat = PolarizedGraph(rule.interface, rule.nplus, rule.nminus)
-    lhat = Morphism(khat, pol_induce(rule.lhs), dict(rule.l.nodemap), dict(rule.l.edgemap))
+    lhat = Morphism(khat, pol_induce(rule.lhs), rule.l.nodemap, rule.l.edgemap)
     mhat = pol_induce(m)
     fp = fpbc(lhat, mhat, GRPOL)
 
@@ -474,7 +474,7 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
     trace = RewriteTrace(
         rule, m,
         l_prime=pol_forget(t_morphism(lhat, GRPOL)),
-        m_bar=bar(m, GR),
+        m_bar=pol_forget(bar(mhat, GRPOL)),  # kept on mhat by fpbc: equals bar(m, GR)
         context=pol_forget(fp.context),
         g=pol_forget(fp.a),
         n_prime=pol_forget(fp.n_prime),

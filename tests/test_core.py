@@ -161,6 +161,19 @@ class TestPolarityFunctors:
     def test_minimal_polarity_is_a_morphism(self, f):
         assert validate_morphism(pol_minimal(f), GRPOL).valid
 
+    def test_functors_keep_the_maps_and_not_the_facts(self):
+        """On morphisms the functors share the read-only maps; a report kept
+        on the image stays off the arrow it came from."""
+        g = Graph.build(["a", "b"], {"e": ("a", "b")})
+        f = Morphism(g, g, {"a": "a", "b": "b"}, {"e": "e"})
+        for functor, arrow in ((pol_induce, f), (pol_minimal, f), (pol_forget, pol_induce(f))):
+            image = functor(arrow)
+            assert image.nodemap is arrow.nodemap and image.edgemap is arrow.edgemap
+        polarized = pol_minimal(f)
+        assert validate_morphism(polarized, GRPOL).is_iso
+        assert "_report" in vars(polarized) and "_report" not in vars(f)
+        assert validate_morphism(f, GR).is_iso
+
 
 class TestComposition:
     @settings(max_examples=60, deadline=None)

@@ -1,8 +1,9 @@
 """Facts derived once and kept on read-only values.
 
-``validate_morphism`` keeps its report on the morphism, ``t_object`` the
-enlargement on the object, and ``characteristic`` the final object and the
-two points of T(1) on the instance.  Every kept fact must equal the one
+``validate_morphism`` keeps its report on the morphism, ``bar`` the
+classifying arrow on the mono it classifies, ``t_object`` the enlargement
+on the object, and ``characteristic`` the final object and the two points
+of T(1) on the instance.  Every kept fact must equal the one
 computed afresh, failures must not be kept, and kept data must die with
 its value.
 """
@@ -22,11 +23,13 @@ from agree import (
     Morphism,
     PreconditionError,
     StructuralError,
+    bar,
     carrier,
     compose,
     default_instance,
     final_object,
     initial_object,
+    identity,
     phi,
     run_law,
     t_morphism,
@@ -130,6 +133,36 @@ def test_kept_report_equals_a_fresh_one(kind):
     assert (True, True, True) in reports and (True, True, False) in reports
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_kept_classifying_arrow_equals_a_fresh_one(kind):
+    inst = default_instance(kind)
+    for seed in range(20):
+        m = _gen(kind, seed).mono()
+        first = bar(m, inst)
+        assert bar(m, inst) is first
+        fresh = bar(_copy_morphism(m, inst), inst)
+        assert fresh == first == phi(m, identity(m.source), inst)
+        assert list(fresh.nodemap.items()) == list(first.nodemap.items())
+        assert list(fresh.edgemap.items()) == list(first.edgemap.items())
+
+
+def test_a_wrong_instance_raises_after_a_kept_classifying_arrow():
+    m = Morphism(Graph.build(["a"]), Graph.build(["a", "b"]), {"a": "a"}, {})
+    kept = bar(m, GR)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            bar(m, GRPOL)
+    assert bar(m, GR) is kept
+
+
+def test_a_non_mono_is_not_classified_on_any_call():
+    two, one = Graph.build(["a", "b"]), Graph.build(["c"])
+    squash = Morphism(two, one, {"a": "c", "b": "c"}, {})
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            bar(squash, GR)
+
+
 def test_dangling_entries_raise_on_every_call():
     x, y = Graph.build(["a"]), Graph.build(["b"])
     f = Morphism(x, y, {"a": "b", "ghost": "b"}, {})
@@ -200,11 +233,13 @@ def test_kept_facts_die_with_their_value():
     y = Graph.build(["a", "b"], {"e": ("a", "b")})
     f = t_object(y, GR).unit
     assert validate_morphism(f, GR).valid
-    refs = [weakref.ref(y), weakref.ref(f)]
+    m = Morphism(Graph.build(["a"]), y, {"a": "a"}, {})
+    assert bar(m, GR).source is y
+    refs = [weakref.ref(y), weakref.ref(f), weakref.ref(m)]
     gc.disable()
     try:
-        del y, f
-        assert [r() for r in refs] == [None, None]
+        del y, f, m
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
 

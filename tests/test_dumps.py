@@ -72,13 +72,19 @@ class Sub(str):
 RECORD_KEYS = STRINGS | st.sampled_from(["{", "}", "{0}", "{}", "}{", "{{id}}", "id", "src", "tgt"])
 
 
+STRING_VALUES = STRINGS | STRINGS.map(Sub)
+LIST_VALUES = st.lists(STRING_VALUES, max_size=3) | st.sampled_from([[], ["-"], ["+"], ["+", "-"]])
+
+
 @st.composite
 def record_lists(draw):
     """Lists of dicts that share one non-empty set of string keys and hold
-    only ``str`` values, some of them ``str`` subclasses."""
+    only ``str`` values (some of them ``str`` subclasses) or lists of them,
+    as a polarity is; a key's column holds strings, lists, or both."""
     keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
-    values = STRINGS | STRINGS.map(Sub)
-    return draw(st.lists(st.fixed_dictionaries({key: values for key in keys}), min_size=1, max_size=6))
+    columns = st.sampled_from([STRING_VALUES, STRING_VALUES, LIST_VALUES, STRING_VALUES | LIST_VALUES])
+    values = {key: draw(columns) for key in keys}
+    return draw(st.lists(st.fixed_dictionaries(values), min_size=1, max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,17 +100,22 @@ _OTHERS = st.sampled_from([0, None, True, 1.5, ["a"], ("a",), {"k": "v"}, {}])
 @st.composite
 def near_record_lists(draw):
     """A record list with one flaw, in any record: an extra or a missing key,
-    a value that is not a string, an empty or a nested dict, or the list
-    made a tuple."""
+    a value that is neither a string nor a list of strings, a list with an
+    item that is not a string, an empty or a nested dict, or the list made
+    a tuple."""
     records = draw(record_lists())
     i = draw(st.integers(0, len(records) - 1))
-    flaw = draw(st.sampled_from(["extra key", "missing key", "value", "empty", "nested", "tuple"]))
+    flaw = draw(st.sampled_from(["extra key", "missing key", "value", "item", "empty", "nested", "tuple"]))
     if flaw == "extra key":
         records[i][draw(RECORD_KEYS.filter(lambda key: key not in records[0]))] = draw(STRINGS)
     elif flaw == "missing key":
         del records[i][draw(st.sampled_from(sorted(records[i])))]
     elif flaw == "value":
         records[i][draw(st.sampled_from(sorted(records[i])))] = draw(_OTHERS)
+    elif flaw == "item":
+        items = draw(st.lists(STRING_VALUES, max_size=2))
+        items.insert(draw(st.integers(0, len(items))), draw(_OTHERS | STRINGS.map(lambda s: (s,))))
+        records[i][draw(st.sampled_from(sorted(records[i])))] = items
     elif flaw == "empty":
         records[i] = {}
     elif flaw == "nested":
@@ -122,6 +133,9 @@ def test_drawn_near_record_lists(records):
 
 
 @pytest.mark.parametrize("doc", [
+    [{"a": []}], [{"a": ["+", "-"]}, {"a": []}], [{"a": ["x"], "b": "y"}, {"a": ["z", "w"], "b": "v"}],
+    [{"a": ["x"]}, {"a": "x"}], [{"a": ["x", 1]}], [{"a": [["x"]]}], [{"a": [("x",)]}], [{"a": ("x",)}],
+    {"nodes": [{"id": "n0", "polarity": ["+"]}, {"id": "n1", "polarity": []}]},
     [{"a": "1"}, {"a": "2", "b": "3"}], [{"a": "1", "b": "3"}, {"a": "2"}], [{"a": "1"}, {"b": "1"}],
     [{"a": "1"}, {"a": 2}], [{"a": "1"}, {}], [{"a": "1"}, ["a"]], [{"a": "1"}, "a"], [{"a": {"b": "c"}}],
     ({"a": "1"}, {"a": "2"}), [{"{": "}", "}": "{", "{0}": "{1}"}], [{1: "a"}], [{"a": "1"}, {1: "a"}],

@@ -77,7 +77,17 @@ def assert_same_as_oracle(f, g, instance):
             assert list(labels.items()) == list(expected.items())
     assert (pb.p1, pb.p2) == (p1, p2)
     assert (ordered(pb.p1), ordered(pb.p2)) == (ordered(p1), ordered(p2))
+    assert_ends_share_node_names(pb.apex)
     return pb
+
+
+def assert_ends_share_node_names(obj):
+    """Every edge end of ``obj`` is the very string its node set holds, not
+    an equal copy."""
+    g = carrier(obj)
+    own = {x: x for x in g.nodes}
+    assert all(own[x] is x for x in g.src.values())
+    assert all(own[x] is x for x in g.tgt.values())
 
 
 def _generated_cospans(gen):

@@ -13,6 +13,7 @@ from agree import (
     TypedGraph,
     agree_rule,
     agree_step,
+    bar,
     carrier,
     complement_of_square,
     compose,
@@ -256,6 +257,23 @@ class TestPsqpo:
             m = gen.match_onto(rule.lhs)
             assert iso_search(psqpo_step(rule, m).result,
                               agree_step(rule, m, GR).result, GR) is not None
+
+    def test_match_is_classified_once(self):
+        """The trace's ``m_bar`` is the polarized classifying arrow ``fpbc``
+        kept on the induced match, with polarity dropped: ``bar(m, GR)``
+        item for item and in the same insertion order."""
+        gen = _Gen(random.Random("psqpo/classified"), (3, 4), GR)
+        for _ in range(5):
+            rule = gen.psqpo_rule()
+            m = gen.match_onto(rule.lhs, extra_nodes=200, extra_edges=600)
+            tr = psqpo_step(rule, m)
+            kept = bar(tr.polarized.mhat, GRPOL)
+            assert tr.m_bar.nodemap is kept.nodemap and tr.m_bar.edgemap is kept.edgemap
+            fresh = bar(Morphism(m.source, m.target, m.nodemap, m.edgemap), GR)
+            assert tr.m_bar == fresh
+            assert list(tr.m_bar.nodemap.items()) == list(fresh.nodemap.items())
+            assert list(tr.m_bar.edgemap.items()) == list(fresh.edgemap.items())
+            assert len(carrier(m.target).nodes) >= 200
 
     def test_mode_is_checked(self):
         with pytest.raises(RuleError):
