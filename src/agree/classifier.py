@@ -151,6 +151,12 @@ def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
     return ClassifiedObject(y, total, Morphism(y, total, nodemap, edgemap), *stars)
 
 
+def _refuse_reserved(kind: str, clash):
+    if clash:
+        ids = ", ".join(map(repr, sorted(clash)))
+        raise StructuralError(f"base graph already uses reserved star {kind} ids: {ids}")
+
+
 def _enlarge(y, instance: CategoryInstance) -> tuple:
     """Everything of ``y``'s :class:`ClassifiedObject` that does not refer to
     ``y``: the total object, the unit's two maps and the star index.  Kept
@@ -158,13 +164,11 @@ def _enlarge(y, instance: CategoryInstance) -> tuple:
     is dropped."""
     g = carrier(y)
     stars = _star_nodes(instance, "*")
-    if stars.keys() & g.nodes:
-        raise StructuralError("base graph already uses a reserved star node id")
+    _refuse_reserved("node", stars.keys() & g.nodes)
     node_labels = dict.fromkeys(g.nodes) if y.node_labels is None else dict(y.node_labels)
     node_labels.update(stars)
     ends = _allowed_edges(instance, node_labels, "*")
-    if ends.keys() & g.edges:
-        raise StructuralError("base graph already uses a reserved star edge id")
+    _refuse_reserved("edge", ends.keys() & g.edges)
 
     src = dict(g.src)
     tgt = dict(g.tgt)

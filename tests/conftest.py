@@ -1,12 +1,15 @@
 """Checks that hold in every test."""
 
 import json
+import sys
 
 import pytest
 
+import agree.catops
 import agree.io
 from agree import DocumentError
 from parse_reference import assert_same_parse, parse_outcome, parse_graph as reference_parse_graph
+from square_reference import assert_same_answer
 
 
 @pytest.fixture(autouse=True)
@@ -40,3 +43,18 @@ def parse_graph_matches_reference(monkeypatch, request):
     monkeypatch.setattr(agree.io, "parse_graph", checked)
     if getattr(request.module, "parse_graph", None) is parse_graph:
         monkeypatch.setattr(request.module, "parse_graph", checked)
+
+
+@pytest.fixture(autouse=True)
+def squares_match_reference(monkeypatch):
+    """Every ``is_pullback_square`` call during a test, through any module's
+    binding, must give the answer (or raise the error) of the canonical
+    pullback construction in ``square_reference.py``."""
+    decide = agree.catops.is_pullback_square
+
+    def checked(*args):
+        return assert_same_answer(decide, *args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("is_pullback_square") is decide:
+            monkeypatch.setattr(module, "is_pullback_square", checked)

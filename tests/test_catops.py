@@ -280,16 +280,46 @@ class TestPullbackSquares:
         assert is_pullback_square(pb.p1, pb.p2, identity(x), g, GR)
 
     def test_padded_apex_fails(self):
+        # A second apex node over the same pair: the square commutes, but
+        # the pairs repeat.
         x = Graph.build(["a", "b"], {"e": ("a", "b")})
         y = Graph.build(["c"])
         g = Morphism(y, x, {"c": "a"}, {})
         pb = pullback(identity(x), g, GR)
         apex = carrier(pb.apex)
         padded = Graph(apex.nodes | {"pad"}, dict(apex.src), dict(apex.tgt))
-        p1 = Morphism(padded, x, dict(pb.p1.nodemap, pad="b"), dict(pb.p1.edgemap))
+        p1 = Morphism(padded, x, dict(pb.p1.nodemap, pad="a"), dict(pb.p1.edgemap))
         p2 = Morphism(padded, y, dict(pb.p2.nodemap, pad="c"), dict(pb.p2.edgemap))
-        if compose(identity(x), p1) == compose(g, p2):
-            assert not is_pullback_square(p1, p2, identity(x), g, GR)
+        assert compose(identity(x), p1) == compose(g, p2)
+        assert not is_pullback_square(p1, p2, identity(x), g, GR)
+
+    def test_apex_missing_an_item_fails(self):
+        x = Graph.build(["a", "b"], {"e": ("a", "b")})
+        y = Graph.build(["c", "d"])
+        g = Morphism(y, x, {"c": "a", "d": "b"}, {})
+        pb = pullback(identity(x), g, GR)
+        assert carrier(pb.apex).nodes == {"(a,c)", "(b,d)"}
+        short = Graph.build(["(a,c)"])
+        p1 = Morphism(short, x, {"(a,c)": "a"}, {})
+        p2 = Morphism(short, y, {"(a,c)": "c"}, {})
+        assert is_pullback_square(pb.p1, pb.p2, identity(x), g, GR)
+        assert not is_pullback_square(p1, p2, identity(x), g, GR)
+
+    def test_apex_label_below_the_meet_fails(self):
+        # The canonical apex node carries both capabilities; an apex node
+        # with only + still makes a commuting square of valid arrows.
+        point = Graph.build(["a"])
+        x = PolarizedGraph(point, frozenset({"a"}), frozenset({"a"}))
+        y = PolarizedGraph(Graph.build(["c"]), frozenset({"c"}), frozenset({"c"}))
+        g = Morphism(y, x, {"c": "a"}, {})
+        pb = pullback(identity(x), g, GRPOL)
+        assert pb.apex.node_labels == {"(a,c)": frozenset("+-")}
+        weak = PolarizedGraph(carrier(pb.apex), frozenset({"(a,c)"}), frozenset())
+        p1 = Morphism(weak, x, dict(pb.p1.nodemap), {})
+        p2 = Morphism(weak, y, dict(pb.p2.nodemap), {})
+        assert validate_morphism(p1, GRPOL).valid and validate_morphism(p2, GRPOL).valid
+        assert is_pullback_square(pb.p1, pb.p2, identity(x), g, GRPOL)
+        assert not is_pullback_square(p1, p2, identity(x), g, GRPOL)
 
     def test_non_commuting_square_rejected(self):
         x = Graph.build(["a", "b"])

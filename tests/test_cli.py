@@ -295,6 +295,42 @@ class TestErrors:
         assert main(["check-rule", "--rule", "/does/not/exist.json"]) == 1
 
 
+_STAR = {"nodes": [{"id": "*"}], "edges": []}
+
+# Each case is an argv (documents in it are written to files first) and the
+# error line it must give.
+RESERVED = {
+    "star node": (["classifier", "--graph", {"nodes": [{"id": "a"}, {"id": "*"}], "edges": []}],
+                  "error: base graph already uses reserved star node ids: '*'"),
+    "typed star nodes": (["classifier", "--typegraph", {"nodes": [{"id": "t"}, {"id": "s"}]},
+                          "--graph", {"nodes": [{"id": "*:t", "type": "t"},
+                                                {"id": "*:s", "type": "s"}], "edges": []}],
+                         "error: base graph already uses reserved star node ids: '*:s', '*:t'"),
+    "star edges": (["classifier", "--graph",
+                    {"nodes": [{"id": "a"}],
+                     "edges": [{"id": "*(a,a)", "src": "a", "tgt": "a"},
+                               {"id": "*(*,a)", "src": "a", "tgt": "a"}]}],
+                   "error: base graph already uses reserved star edge ids: '*(*,a)', '*(a,a)'"),
+    "star node in K": (["check-rule", "--rule",
+                        {"mode": "SQPO", "L": _STAR, "K": _STAR, "R": _STAR,
+                         "l": {"nodes": {"*": "*"}, "edges": {}},
+                         "r": {"nodes": {"*": "*"}, "edges": {}}}],
+                       "error: base graph already uses reserved star node ids: '*'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESERVED))
+def test_reserved_star_ids_are_named(case, workdir, capsys):
+    tmp, write = workdir
+    argv, message = RESERVED[case]
+    argv = [arg if isinstance(arg, str) else write(f"doc{i}.json", arg)
+            for i, arg in enumerate(argv)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def _psqpo_rule_doc(polarity):
     point = {"nodes": [{"id": "k"}], "edges": []}
     return {"mode": "PSQPO", "L": point, "K": point, "R": point,

@@ -16,6 +16,7 @@ from agree import (
     carrier,
     fpbc,
     identity,
+    is_pullback_square,
     pullback,
     t_morphism,
 )
@@ -225,3 +226,24 @@ def test_ambiguous_commas_collide():
     g = Morphism(y, z, {"c": "z", "b,c": "z"}, {})
     with pytest.raises(StructuralError, match="pair naming collided"):
         pullback(f, g, inst)
+
+
+def test_square_over_ambiguous_commas_is_decided():
+    """Deciding a square names no pairs, so the feet whose pair names
+    collide still get an answer: the four pairs are a pullback, three are
+    not."""
+    inst = default_instance("gr")
+    z = Graph.build(["z"])
+    x = Graph.build(["a,b", "a"])
+    y = Graph.build(["c", "b,c"])
+    f = Morphism(x, z, {"a,b": "z", "a": "z"}, {})
+    g = Morphism(y, z, {"c": "z", "b,c": "z"}, {})
+    pairs = [(a, b) for a in ("a,b", "a") for b in ("c", "b,c")]
+    apex = Graph.build([f"u{i}" for i in range(4)])
+    p = Morphism(apex, x, {f"u{i}": a for i, (a, _) in enumerate(pairs)}, {})
+    q = Morphism(apex, y, {f"u{i}": b for i, (_, b) in enumerate(pairs)}, {})
+    assert is_pullback_square(p, q, f, g, inst)
+    three = Graph.build([f"u{i}" for i in range(3)])
+    p3 = Morphism(three, x, {u: a for u, a in p.nodemap.items() if u in three.nodes}, {})
+    q3 = Morphism(three, y, {u: b for u, b in q.nodemap.items() if u in three.nodes}, {})
+    assert not is_pullback_square(p3, q3, f, g, inst)
