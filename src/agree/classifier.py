@@ -80,11 +80,18 @@ def _absorb(instance: CategoryInstance, obj, mark: str, nodemap: dict, edgemap: 
     nodes.update(nodemap)
     src, tgt = g.src, g.tgt
     edge_labels = obj.edge_labels
+    # Each distinct star edge id is built once, and looked up by its ends
+    # (and label) for every further edge absorbed into it.
+    star_edges = {}
     if edge_labels is None:
-        edges = {e: edgemap[e] if e in edgemap else f"{mark}({nodes[src[e]]},{nodes[tgt[e]]})"
+        edges = {e: edgemap[e] if e in edgemap
+                 else star_edges.get(key := (nodes[src[e]], nodes[tgt[e]]))
+                 or star_edges.setdefault(key, _edge_id(mark, *key))
                  for e in src}
     else:
-        edges = {e: edgemap[e] if e in edgemap else f"{mark}({nodes[src[e]]},{nodes[tgt[e]]}):{edge_labels[e]}"
+        edges = {e: edgemap[e] if e in edgemap
+                 else star_edges.get(key := (nodes[src[e]], nodes[tgt[e]], edge_labels[e]))
+                 or star_edges.setdefault(key, _edge_id(mark, *key))
                  for e in src}
     return nodes, edges
 

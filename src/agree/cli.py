@@ -102,7 +102,7 @@ def cmd_apply(args) -> int:
         print("no match found", file=sys.stderr)
         return 3
     trace = psqpo_step(rule, m) if rule.mode == "PSQPO" else agree_step(rule, m, instance)
-    _emit(docio.dumps(docio.graph_doc(trace.result)), args.out)
+    _emit(docio.dumps(trace.result), args.out)
     if args.trace:
         _emit(docio.dumps(docio.trace_doc(trace)), args.trace)
     if args.dot:
@@ -115,7 +115,7 @@ def cmd_classifier(args) -> int:
     instance = _graph_instance(gdoc, args.typegraph)
     obj = docio.parse_graph(gdoc, instance.typegraph)
     cls = t_object(obj, instance)
-    _emit(docio.dumps({"total": docio.graph_doc(cls.total), "unit": docio.morphism_doc(cls.unit)}))
+    _emit(docio.dumps({"total": cls.total, "unit": docio.morphism_doc(cls.unit)}))
     return 0
 
 
@@ -129,7 +129,7 @@ def cmd_fpbc(args) -> int:
     # Verify first, so that a bound the oracle refuses leaves no output behind.
     report = fpbc_verify(l, m, result.n, result.a, instance, size_bound=args.bound) if args.verify else None
     _emit(docio.dumps({
-        "D": docio.graph_doc(result.context),
+        "D": result.context,
         "n": docio.morphism_doc(result.n),
         "a": docio.morphism_doc(result.a),
     }))
@@ -159,7 +159,7 @@ def cmd_complement(args) -> int:
     if not validate_morphism(m, instance).is_mono_in_M:
         raise DocumentError([("/", "strict complements are taken of admissible monos")])
     comp, incl = strict_complement(m, instance)
-    _emit(docio.dumps({"complement": docio.graph_doc(comp), "inclusion": docio.morphism_doc(incl)}))
+    _emit(docio.dumps({"complement": comp, "inclusion": docio.morphism_doc(incl)}))
     return 0
 
 

@@ -44,7 +44,9 @@ def dumps(doc) -> str:
 
     The text is that of ``json.dumps(doc, indent=2, sort_keys=True,
     ensure_ascii=False)`` plus a final newline, written directly: with
-    ``indent`` set, ``json`` falls back to its pure-Python encoder.
+    ``indent`` set, ``json`` falls back to its pure-Python encoder.  A
+    graph object anywhere in ``doc`` is written as its :func:`graph_doc`
+    would be, straight from the graph's columns.
     """
     out = []
     _write(doc, "\n", out)
@@ -57,7 +59,8 @@ _encode_str = json.encoder.encode_basestring
 
 def _write(value, newline: str, out: list):
     """Append the text of ``value`` to ``out``; ``newline`` is a line break
-    followed by the indentation of the line ``value`` starts on."""
+    followed by the indentation of the line ``value`` starts on.  A graph
+    object is written as its :func:`graph_doc` would be."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, list) and value and (text := _record_list(value, newline)) is not None:
@@ -85,10 +88,46 @@ def _write(value, newline: str, out: list):
                 _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, _GRAPHS) and (text := _graph_text(value, newline)) is not None:
+        out.append(text)
     else:
-        # Numbers, constants, empty containers, dicts with non-string keys.
-        text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+        # Numbers, constants, empty containers, dicts with non-string keys,
+        # and graphs whose columns fail a test of :func:`_graph_text`.
+        text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, default=_graph_default)
         out.append(text.replace("\n", newline))
+
+
+_GRAPHS = (Graph, TypedGraph, PolarizedGraph)
+
+
+def _graph_default(value):
+    """``json``'s ``default`` for :func:`_write`: a graph object's document;
+    any other value is refused as ``json`` refuses it."""
+    if isinstance(value, _GRAPHS):
+        return graph_doc(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _records(count: int, columns: list, newline: str) -> str:
+    """The text of a list of ``count`` records; ``newline`` is as for
+    :func:`_write`.  ``columns`` holds each key, in sorted order, with an
+    iterable of the texts of its ``count`` values, written at
+    ``newline + "    "``.  The columns and the fixed text between them are
+    laid out in one list by slice assignment, then joined once."""
+    if not count:
+        return "[]"
+    inner, key_line = newline + "  ", newline + "    "
+    width = 2 * len(columns)
+    # Per record: the text before each value, then the value.
+    parts = [None] * (width * count)
+    for i, (key, texts) in enumerate(columns):
+        parts[2 * i::width] = [("," if i else "{") + key_line + _encode_str(key) + ": "] * count
+        parts[2 * i + 1::width] = texts
+    # The text before a record's first value also closes the record before it.
+    opening = parts[0]
+    parts[0::width] = [inner + "}," + inner + opening] * count
+    parts[0] = "[" + inner + opening
+    return "".join(parts) + inner + "}" + newline + "]"
 
 
 def _record_list(value: list, newline: str) -> Optional[str]:
@@ -99,9 +138,8 @@ def _record_list(value: list, newline: str) -> Optional[str]:
     string keys and hold only ``str`` values or lists of ``str``, as the
     node and edge lists of graph documents do (a polarity is a list).  It
     is written column by column: each column is encoded in one pass, then
-    the columns are interleaved with the fixed text between them in one
-    join.  The first record is tested alone first, so other lists are
-    refused at once.
+    :func:`_records` interleaves them.  The first record is tested alone
+    first, so other lists are refused at once.
     """
     first = value[0]
     if not (isinstance(first, dict) and first and all(map(isinstance, first, repeat(str)))
@@ -110,10 +148,8 @@ def _record_list(value: list, newline: str) -> Optional[str]:
     # A record with as many keys as the first, each of them found below, has the same keys.
     if not (all(map(isinstance, value, repeat(dict))) and all(map(len(first).__eq__, map(len, value)))):
         return None
-    inner, key_line = newline + "  ", newline + "    "
-    # Per record: the separator before it, then "<key>: " and the value per key, then "}".
-    parts = [chain(["[" + inner], repeat("," + inner, len(value) - 1))]
-    sep = "{"
+    key_line = newline + "    "
+    columns = []
     for key in sorted(first):
         try:
             column = list(map(itemgetter(key), value))
@@ -122,27 +158,79 @@ def _record_list(value: list, newline: str) -> Optional[str]:
         texts = _column(column, key_line)
         if texts is None:
             return None
-        parts += [repeat(sep + key_line + _encode_str(key) + ": "), texts]
-        sep = ","
-    parts.append(repeat(inner + "}"))
-    return "".join(chain.from_iterable(zip(*parts))) + newline + "]"
+        columns.append((key, texts))
+    return _records(len(value), columns, newline)
 
 
 def _column(column: list, newline: str):
     """The texts of a column's values, if all are ``str`` or all are lists
     of ``str``, else ``None``; ``newline`` is as for :func:`_write`."""
-    if all(map(isinstance, column, repeat(str))):
+    if _strings(column):
         return map(_encode_str, column)
     if not (all(map(isinstance, column, repeat(list)))
             and all(map(isinstance, chain.from_iterable(column), repeat(str)))):
         return None
-    inner = newline + "  "
-    sep = "," + inner
     # Each distinct list is encoded once: a polarity column holds at most four.
     keys = list(map(tuple, column))
-    texts = {key: "[" + inner + sep.join(map(_encode_str, key)) + newline + "]" if key else "[]"
-             for key in set(keys)}
+    texts = {key: _str_list(key, newline) for key in set(keys)}
     return map(texts.__getitem__, keys)
+
+
+def _str_list(items, newline: str) -> str:
+    """The text of a list of ``str``; ``newline`` is as for :func:`_write`."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(_encode_str, items)) + newline + "]"
+
+
+def _graph_text(obj, newline: str) -> Optional[str]:
+    """The text of ``graph_doc(obj)``, written from ``obj``'s columns, or
+    ``None`` if a column fails the test :func:`_record_list` would make of
+    it in that document; ``newline`` is as for :func:`_write`.
+
+    Every id is tested to be a ``str``, and the endpoint columns are
+    encoded through the node ids' texts, so an endpoint that is not a node
+    id refuses too.  Labels are tested as :func:`graph_doc` chooses their
+    field: types to be ``str``, capability sets to have a polarity.
+    """
+    g = carrier(obj)
+    src, tgt = g.src, g.tgt
+    if not (_strings(g.nodes) and _strings(src)):
+        return None
+    nids, eids = sorted(g.nodes), sorted(src)
+    inner = newline + "  "
+    key_line = inner + "    "
+    node_texts = list(map(_encode_str, nids))
+    node_text = dict(zip(nids, node_texts)).__getitem__
+    try:
+        src_texts = list(map(node_text, map(src.__getitem__, eids)))
+        tgt_texts = list(map(node_text, map(tgt.__getitem__, eids)))
+    except KeyError:
+        return None
+    node_columns = [("id", node_texts)]
+    edge_columns = [("id", map(_encode_str, eids)), ("src", src_texts), ("tgt", tgt_texts)]
+    for columns, ids, labels in ((node_columns, nids, obj.node_labels), (edge_columns, eids, obj.edge_labels)):
+        if not labels:
+            continue
+        try:
+            column = list(map(labels.__getitem__, ids))
+        except KeyError:
+            return None
+        # Labels are names of the type graph's items or capability sets, so
+        # they are hashable, and each distinct one is encoded once.
+        distinct = set(column)
+        if isinstance(next(iter(labels.values())), str):
+            if not _strings(distinct):
+                return None
+            field, texts = "type", {label: _encode_str(label) for label in distinct}
+        else:
+            if not (all(map(isinstance, distinct, repeat(frozenset))) and _POLARITY.keys() >= distinct):
+                return None
+            field, texts = "polarity", {caps: _str_list(_POLARITY[caps], key_line) for caps in distinct}
+        columns.append((field, map(texts.__getitem__, column)))
+    return ("{" + inner + '"edges": ' + _records(len(eids), edge_columns, inner)
+            + "," + inner + '"nodes": ' + _records(len(nids), node_columns, inner) + newline + "}")
 
 
 # -- graphs -------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import agree.catops
 import agree.io
 from agree import DocumentError
+from helpers import with_graph_docs
 from parse_reference import assert_same_parse, parse_outcome, parse_graph as reference_parse_graph
 from square_reference import assert_same_answer
 
@@ -15,12 +16,13 @@ from square_reference import assert_same_answer
 @pytest.fixture(autouse=True)
 def dumps_matches_json(monkeypatch):
     """Every document the engine writes through ``agree.io.dumps`` during a
-    test (the CLI's outputs) must be ``json``'s canonical text."""
+    test (the CLI's outputs) must be ``json``'s canonical text, with each
+    graph object in it written as its ``graph_doc``."""
     dumps = agree.io.dumps
 
     def checked(doc):
         text = dumps(doc)
-        assert text == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert text == json.dumps(with_graph_docs(doc), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         return text
 
     monkeypatch.setattr(agree.io, "dumps", checked)

@@ -16,6 +16,7 @@ from agree import (
     compose,
     validate_morphism,
 )
+from agree.io import graph_doc
 
 
 def naive_morphisms(x, y, instance):
@@ -190,3 +191,16 @@ def small_cone_objects(instance):
                 out.append(PolarizedGraph(g, g.nodes, g.nodes))
         return out
     return plain
+
+
+def with_graph_docs(value):
+    """``value`` with every graph object in it, inside dicts, lists and
+    tuples too, replaced by its ``graph_doc``: the document ``dumps``
+    writes for ``value``."""
+    if isinstance(value, (Graph, TypedGraph, PolarizedGraph)):
+        return graph_doc(value)
+    if isinstance(value, dict):
+        return {key: with_graph_docs(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(with_graph_docs, value))
+    return value

@@ -141,9 +141,15 @@ def parse_outcome(parse, *args, **kwargs):
 
 def assert_same_parse(got, expected):
     """Equal objects with equal labels, built in the same order, or the
-    same list of positioned errors."""
-    assert type(got) is type(expected)
-    assert got == expected
+    same list of positioned errors; else raise ``AssertionError``, also
+    under ``python -O``."""
+    if type(got) is not type(expected):
+        raise AssertionError(f"parsed to a {type(got).__name__}, the reference to a {type(expected).__name__}")
+    if got != expected:
+        raise AssertionError(f"parsed to {got!r}, the reference to {expected!r}")
     if not isinstance(expected, list):
-        assert (got.node_labels, got.edge_labels) == (expected.node_labels, expected.edge_labels)
-        assert list(carrier(got).src) == list(carrier(expected).src)
+        if (got.node_labels, got.edge_labels) != (expected.node_labels, expected.edge_labels):
+            raise AssertionError(f"labels {got.node_labels!r}, {got.edge_labels!r}, the reference's "
+                                 f"{expected.node_labels!r}, {expected.edge_labels!r}")
+        if list(carrier(got).src) != list(carrier(expected).src):
+            raise AssertionError("the edges were built in another order than the reference's")

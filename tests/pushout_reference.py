@@ -11,10 +11,12 @@ from agree.catops import Pushout
 
 
 def _checked(instance, source, target, nodemap, edgemap) -> tuple:
-    """The morphism and its validation report, asserted valid."""
+    """The morphism and its validation report; an invalid one raises
+    ``AssertionError``, also under ``python -O``."""
     m = Morphism(source, target, nodemap, edgemap)
     rep = validate_morphism(m, instance)
-    assert rep.valid, f"internal construction produced an invalid morphism: {rep.problems}"
+    if not rep.valid:
+        raise AssertionError(f"internal construction produced an invalid morphism: {rep.problems}")
     return m, rep
 
 
@@ -61,7 +63,8 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
 
     h, _ = _checked(instance, n.target, result, h_nodes, h_edges)
     p, _ = _checked(instance, r.target, result, p_nodes, p_edges)
-    assert compose(h, n) == compose(p, r)
+    if compose(h, n) != compose(p, r):
+        raise AssertionError("the pushout square does not commute")
     return Pushout(result, h, p)
 
 

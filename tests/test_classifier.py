@@ -1,5 +1,7 @@
 """The enlargement functor, its unit, and classifying arrows."""
 
+import random
+
 import pytest
 
 from agree import (
@@ -214,3 +216,80 @@ class TestCharacteristic:
             true_img = set(ch.true_pt.nodemap.values())
             false_img = set(ch.false_pt.nodemap.values())
             assert not (true_img & false_img)
+
+
+# -- shared star edge ids ----------------------------------------------------------
+
+def _reference_absorb(instance, obj, mark, nodemap, edgemap):
+    """``classifier._absorb`` as it was before it shared star edge ids: one
+    formatted string per absorbed edge."""
+    g = carrier(obj)
+    labels = obj.node_labels
+    if labels is None:
+        nodes = dict.fromkeys(g.nodes, mark + instance.star(None))
+    else:
+        star = {label: mark + instance.star(label) for label in set(labels.values())}
+        nodes = {x: star[label] for x, label in labels.items()}
+    nodes.update(nodemap)
+    src, tgt, edge_labels = g.src, g.tgt, obj.edge_labels
+    if edge_labels is None:
+        edges = {e: edgemap[e] if e in edgemap else f"{mark}({nodes[src[e]]},{nodes[tgt[e]]})" for e in src}
+    else:
+        edges = {e: edgemap[e] if e in edgemap else f"{mark}({nodes[src[e]]},{nodes[tgt[e]]}):{edge_labels[e]}"
+                 for e in src}
+    return nodes, edges
+
+
+def _large_host(inst, seed, n=2000, m=6000):
+    """A seeded host of the size of the large-host benchmark's: n nodes and
+    3n edges, typed round-robin over the type graph where ``inst`` is typed."""
+    rng = random.Random(f"absorb/{seed}")
+    nodes = [f"n{i:04d}" for i in range(n)]
+    if inst.typegraph is None:
+        return Graph.build(nodes, {f"e{i:04d}": (rng.choice(nodes), rng.choice(nodes)) for i in range(m)})
+    tg = inst.typegraph
+    types = sorted(tg.nodes)
+    node_types = {x: types[i % len(types)] for i, x in enumerate(nodes)}
+    by_type = {t: [x for x in nodes if node_types[x] == t] for t in types}
+    etypes = sorted(tg.src)
+    ends, edge_types = {}, {}
+    for i in range(m):
+        et = edge_types[f"e{i:04d}"] = rng.choice(etypes)
+        ends[f"e{i:04d}"] = (rng.choice(by_type[tg.src[et]]), rng.choice(by_type[tg.tgt[et]]))
+    g = Graph.build(nodes, ends)
+    return TypedGraph(g, tg, Morphism(g, tg, node_types, edge_types))
+
+
+def _small_mono(host):
+    """The inclusion of the ends of the first host edge, six more host
+    nodes, and the host edges among them."""
+    g = carrier(host)
+    kept = sorted({*g.ends(min(g.src)), *sorted(g.nodes)[:6]})
+    edges = {e: g.ends(e) for e in sorted(g.src) if set(g.ends(e)) <= set(kept)}
+    sub = Graph.build(kept, edges)
+    if isinstance(host, TypedGraph):
+        sub = TypedGraph(sub, host.typegraph, Morphism(sub, host.typegraph,
+                                                       {x: host.node_labels[x] for x in kept},
+                                                       {e: host.edge_labels[e] for e in edges}))
+    return Morphism(sub, host, {x: x for x in kept}, {e: e for e in edges})
+
+
+@pytest.mark.parametrize("kind", ["gr", "typed"])
+def test_star_edge_ids_are_shared(kind):
+    """On a large host, ``bar`` and ``bang`` give the maps the per-edge
+    formatting gave, item for item and in order, and hold one string object
+    per distinct star edge id."""
+    inst = default_instance(kind)
+    host = _large_host(inst, 0)
+    m = _small_mono(host)
+    absorbed = [
+        (bar(m, inst), _reference_absorb(inst, host, "*", {z: x for x, z in m.nodemap.items()},
+                                         {z: x for x, z in m.edgemap.items()})),
+        (bang(host, inst), _reference_absorb(inst, host, "1", {}, {})),
+    ]
+    for arrow, (nodes, edges) in absorbed:
+        assert list(arrow.nodemap.items()) == list(nodes.items())
+        assert list(arrow.edgemap.items()) == list(edges.items())
+        stars = [v for v in arrow.edgemap.values() if v.startswith(("*", "1"))]
+        assert len(stars) > len(set(stars)) >= 1
+        assert len(set(map(id, stars))) == len(set(stars))

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agree.io
-from agree import generate
+from agree import Graph, Morphism, PolarizedGraph, TypedGraph, generate, pol_minimal
 from agree.cli import main
 from agree.io import dumps, graph_doc, morphism_doc, parse_graph, parse_rule, rule_doc
 from agree.laws import default_instance
+from helpers import with_graph_docs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,10 +23,11 @@ def reference(doc):
 
 
 def outcome(write, doc):
-    """The text, or the type of the error raised for a value ``json`` rejects."""
+    """The text, or the type of the error raised for a value ``json`` (or
+    ``graph_doc``) rejects."""
     try:
         return write(doc)
-    except TypeError as exc:
+    except (TypeError, KeyError) as exc:
         return type(exc)
 
 
@@ -153,6 +155,93 @@ def test_hand_written_documents(doc):
     assert dumps(doc) == reference(doc)
 
 
+# -- graph objects: written from their columns ----------------------------------
+
+GRAPH_TYPES = (Graph, TypedGraph, PolarizedGraph)
+IDS = _AWKWARD | STRINGS
+
+
+@st.composite
+def awkward_graphs(draw):
+    """A graph over drawn ids, awkward characters among them, in a drawn
+    setting: plain, polarized (at least the polarity its edges need) or
+    typed over a drawn type graph with one edge type per pair of types."""
+    nodes = draw(st.lists(IDS, unique=True, max_size=5))
+    edge_ids = draw(st.lists(IDS, unique=True, max_size=6)) if nodes else []
+    ends = {e: (draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))) for e in edge_ids}
+    graph = Graph.build(nodes, ends)
+    setting = draw(st.sampled_from(["gr", "pol", "typed"]))
+    if setting == "pol":
+        some = st.lists(st.sampled_from(nodes), max_size=3) if nodes else st.just([])
+        plus = set(graph.src.values()) | set(draw(some))
+        minus = set(graph.tgt.values()) | set(draw(some))
+        return PolarizedGraph(graph, frozenset(plus), frozenset(minus))
+    if setting == "typed":
+        types = draw(st.lists(IDS, unique=True, min_size=1, max_size=3))
+        typegraph = Graph.build(types, {json.dumps([a, b]): (a, b) for a in types for b in types})
+        node_types = {n: draw(st.sampled_from(types)) for n in nodes}
+        edge_types = {e: json.dumps([node_types[s], node_types[t]]) for e, (s, t) in ends.items()}
+        return TypedGraph(graph, typegraph, Morphism(graph, typegraph, node_types, edge_types))
+    return graph
+
+
+def _typed_by_ints():
+    """A graph with string ids typed over a type graph with integer ids."""
+    graph, typegraph = Graph.build(["a"], {"e": ("a", "a")}), Graph(frozenset({0}), {1: 0}, {1: 0})
+    return TypedGraph(graph, typegraph, Morphism(graph, typegraph, {"a": 0}, {"e": 1}))
+
+
+_EMPTY = Graph.build()
+# Graphs the API builds with ids or labels that are not strings: ``dumps``
+# writes them through ``graph_doc``, with the same text or the same error.
+NON_STRING_GRAPHS = {
+    "int ids": Graph(frozenset({1, 2}), {3: 1}, {3: 2}),
+    "mixed node ids": Graph(frozenset({1, "a"}), {}, {}),
+    "int edge id": Graph(frozenset({"a"}), {1: "a"}, {1: "a"}),
+    "tuple node id": Graph(frozenset({"a", ("b",)}), {"e": "a"}, {"e": "a"}),
+    "polarized int ids": PolarizedGraph(Graph(frozenset({1, 2}), {"e": 1}, {"e": 2}),
+                                        frozenset({1}), frozenset({2})),
+    "int types": _typed_by_ints(),
+}
+EMPTY_GRAPHS = {
+    "empty": _EMPTY,
+    "empty polarized": PolarizedGraph(_EMPTY, frozenset(), frozenset()),
+    "empty typed": TypedGraph(_EMPTY, Graph.build(["t"]), Morphism(_EMPTY, Graph.build(["t"]), {}, {})),
+}
+
+
+def _generated(category):
+    return st.builds(generate, st.just("graph"), st.integers(0, 10**6), st.just((6, 8)),
+                     st.just(default_instance(category)))
+
+
+GRAPHS = (_generated("gr") | _generated("typed") | _generated("pol") | _generated("gr").map(pol_minimal)
+          | awkward_graphs() | st.sampled_from([*EMPTY_GRAPHS.values(), *NON_STRING_GRAPHS.values()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(GRAPHS | SCALARS, _containers, max_leaves=8))
+def test_drawn_graph_objects(value):
+    """Graphs alone or nested in dicts and lists are written as their
+    ``graph_doc`` is, and one that cannot be written raises as it does."""
+    assert outcome(dumps, value) == outcome(lambda v: reference(with_graph_docs(v)), value)
+
+
+@pytest.mark.parametrize("name", [*EMPTY_GRAPHS, *NON_STRING_GRAPHS])
+def test_hand_written_graph_objects(name):
+    obj = {**EMPTY_GRAPHS, **NON_STRING_GRAPHS}[name]
+    assert outcome(dumps, obj) == outcome(lambda g: reference(graph_doc(g)), obj)
+    assert outcome(dumps, {"G": [obj]}) == outcome(lambda g: reference({"G": [graph_doc(g)]}), obj)
+
+
+def test_non_string_graphs_fall_back():
+    """The non-string graphs reach ``graph_doc``'s text or its error, and
+    the two that ``json`` can write keep their non-string ids."""
+    texts = {name: outcome(dumps, obj) for name, obj in NON_STRING_GRAPHS.items()}
+    assert texts["mixed node ids"] is TypeError and texts["int types"] is KeyError
+    assert '"id": 1' in texts["int ids"] and '"src": 1' in texts["polarized int ids"]
+
+
 # -- documents the fixtures and the generator produce -----------------------------
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
@@ -198,16 +287,31 @@ def _fixture_commands():
     for graph in graphs:
         yield ["classifier", "--graph", str(graph)]
     yield ["complement", "--m", str(FIXTURES / "complement_arrow.json")]
+    yield ["fpbc", "--l", str(FIXTURES / "clone_l.json"), "--m", str(FIXTURES / "complement_arrow.json")]
+
+
+def _graphs_in(value):
+    """The graph objects in ``value``, inside dicts, lists and tuples too."""
+    if isinstance(value, GRAPH_TYPES):
+        yield value
+    elif isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _graphs_in(item)
 
 
 def test_fixture_command_documents(monkeypatch, tmp_path, capsys):
     """Every document the CLI writes for the fixtures: match lists, result
-    graphs, traces, enlargements and complements."""
-    docs = []
+    graphs, traces, enlargements, complements and a final pullback
+    complement.  The CLI passes its top-level graphs to ``dumps`` as
+    objects; each is recorded on its own and must be written as its
+    ``graph_doc``."""
+    docs, graphs = [], []
     write = agree.io.dumps
 
     def recording(doc):
-        docs.append(doc)
+        graphs.extend(_graphs_in(doc))
+        if not isinstance(doc, GRAPH_TYPES):
+            docs.append(doc)
         return write(doc)
 
     monkeypatch.setattr(agree.io, "dumps", recording)
@@ -215,9 +319,12 @@ def test_fixture_command_documents(monkeypatch, tmp_path, capsys):
     for argv in _fixture_commands():
         main(argv)
     capsys.readouterr()
-    assert len(docs) > 25
+    assert graphs
+    assert len(docs) + len(graphs) > 25
     for doc in docs:
-        assert dumps(doc) == reference(doc)
+        assert dumps(doc) == reference(with_graph_docs(doc))
+    for obj in graphs:
+        assert dumps(obj) == reference(graph_doc(obj))
 
 
 @pytest.mark.parametrize("category,kinds", [
