@@ -16,7 +16,7 @@ from itertools import islice
 from . import io as docio
 from .catops import enumerate_monos
 from .classifier import t_object
-from .core import GR, GRPOL, Graph, typed_over, validate_morphism
+from .core import GR, GRPOL, Graph, PolarizedGraph, typed_over, validate_morphism
 from .errors import DocumentError, GraphError
 from .laws import LAW_IDS, LAWS, default_instance, run_law
 from .rewrite import (
@@ -39,8 +39,15 @@ _LAW_CATEGORIES["FPBC_FINAL"] = ("gr", "typed")
 
 
 def _load(path):
+    """The JSON value in the file ``path``.  Text that is not UTF-8, or
+    nested deeper than ``json`` reads, is refused with the file named."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DocumentError([(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}")]) from None
+        except RecursionError:
+            raise DocumentError([(path, "JSON nested too deeply to read")]) from None
 
 
 def _emit(text, path=None):
@@ -51,21 +58,22 @@ def _emit(text, path=None):
         sys.stdout.write(text)
 
 
-def _graph_instance(doc, typegraph_path=None):
-    """The instance of a graph document; a malformed one is left to the parser."""
-    if typegraph_path:
-        tg = docio.parse_graph(_load(typegraph_path))
-        if not isinstance(tg, Graph):
-            raise DocumentError([("/", "the type graph must be a plain graph")])
-        return typed_over(tg)
-    nodes = doc.get("nodes") if isinstance(doc, dict) else None
-    if isinstance(nodes, list) and any(isinstance(n, dict) and "polarity" in n for n in nodes):
-        return GRPOL
-    return GR
+def _typegraph(path):
+    """The type graph in the file ``path``, or ``None`` without a path."""
+    if not path:
+        return None
+    tg = docio.parse_graph(_load(path))
+    if not isinstance(tg, Graph):
+        raise DocumentError([("/", "the type graph must be a plain graph")])
+    return tg
 
 
-def _embedded_target(doc):
-    return doc.get("target") if isinstance(doc, dict) else None
+def _instance(obj, typegraph):
+    """The setting of a parsed graph object: typed over ``typegraph`` if
+    there is one, else polarized or plain as the parser chose."""
+    if typegraph is not None:
+        return typed_over(typegraph)
+    return GRPOL if isinstance(obj, PolarizedGraph) else GR
 
 
 def _rule_and_graph(args):
@@ -112,9 +120,9 @@ def cmd_apply(args) -> int:
 
 def cmd_classifier(args) -> int:
     gdoc = _load(args.graph)
-    instance = _graph_instance(gdoc, args.typegraph)
-    obj = docio.parse_graph(gdoc, instance.typegraph)
-    cls = t_object(obj, instance)
+    tg = _typegraph(args.typegraph)
+    obj = docio.parse_graph(gdoc, tg)
+    cls = t_object(obj, _instance(obj, tg))
     _emit(docio.dumps({"total": cls.total, "unit": docio.morphism_doc(cls.unit)}))
     return 0
 
@@ -122,9 +130,10 @@ def cmd_classifier(args) -> int:
 def cmd_fpbc(args) -> int:
     ldoc = _load(args.l)
     mdoc = _load(args.m)
-    instance = _graph_instance(_embedded_target(ldoc), args.typegraph)
-    l = docio.parse_morphism(ldoc, typegraph=instance.typegraph)
-    m = docio.parse_morphism(mdoc, source=l.target, target=None, typegraph=instance.typegraph)
+    tg = _typegraph(args.typegraph)
+    l = docio.parse_morphism(ldoc, typegraph=tg)
+    m = docio.parse_morphism(mdoc, source=l.target, target=None, typegraph=tg)
+    instance = _instance(l.target, tg)
     result = fpbc(l, m, instance)
     # Verify first, so that a bound the oracle refuses leaves no output behind.
     report = fpbc_verify(l, m, result.n, result.a, instance, size_bound=args.bound) if args.verify else None
@@ -154,8 +163,9 @@ def cmd_check_rule(args) -> int:
 
 def cmd_complement(args) -> int:
     mdoc = _load(args.m)
-    instance = _graph_instance(_embedded_target(mdoc), args.typegraph)
-    m = docio.parse_morphism(mdoc, typegraph=instance.typegraph)
+    tg = _typegraph(args.typegraph)
+    m = docio.parse_morphism(mdoc, typegraph=tg)
+    instance = _instance(m.target, tg)
     if not validate_morphism(m, instance).is_mono_in_M:
         raise DocumentError([("/", "strict complements are taken of admissible monos")])
     comp, incl = strict_complement(m, instance)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
-from operator import contains, itemgetter, methodcaller
+from operator import attrgetter, contains, itemgetter, methodcaller
 from typing import Optional
 
 from .core import (
@@ -46,7 +46,8 @@ def dumps(doc) -> str:
     ensure_ascii=False)`` plus a final newline, written directly: with
     ``indent`` set, ``json`` falls back to its pure-Python encoder.  A
     graph object anywhere in ``doc`` is written as its :func:`graph_doc`
-    would be, straight from the graph's columns.
+    would be, straight from the graph's columns; a graph document is
+    written as any other dict.
     """
     out = []
     _write(doc, "\n", out)
@@ -63,8 +64,6 @@ def _write(value, newline: str, out: list):
     object is written as its :func:`graph_doc` would be."""
     if isinstance(value, str):
         out.append(_encode_str(value))
-    elif isinstance(value, list) and value and (text := _record_list(value, newline)) is not None:
-        out.append(text)
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         sep = "[" + inner
@@ -130,52 +129,6 @@ def _records(count: int, columns: list, newline: str) -> str:
     return "".join(parts) + inner + "}" + newline + "]"
 
 
-def _record_list(value: list, newline: str) -> Optional[str]:
-    """The text of a record list, or ``None`` if ``value`` is not one;
-    ``newline`` is as for :func:`_write`.
-
-    A record list is a list of non-empty dicts that share one set of
-    string keys and hold only ``str`` values or lists of ``str``, as the
-    node and edge lists of graph documents do (a polarity is a list).  It
-    is written column by column: each column is encoded in one pass, then
-    :func:`_records` interleaves them.  The first record is tested alone
-    first, so other lists are refused at once.
-    """
-    first = value[0]
-    if not (isinstance(first, dict) and first and all(map(isinstance, first, repeat(str)))
-            and all(map(isinstance, first.values(), repeat((str, list))))):
-        return None
-    # A record with as many keys as the first, each of them found below, has the same keys.
-    if not (all(map(isinstance, value, repeat(dict))) and all(map(len(first).__eq__, map(len, value)))):
-        return None
-    key_line = newline + "    "
-    columns = []
-    for key in sorted(first):
-        try:
-            column = list(map(itemgetter(key), value))
-        except KeyError:
-            return None
-        texts = _column(column, key_line)
-        if texts is None:
-            return None
-        columns.append((key, texts))
-    return _records(len(value), columns, newline)
-
-
-def _column(column: list, newline: str):
-    """The texts of a column's values, if all are ``str`` or all are lists
-    of ``str``, else ``None``; ``newline`` is as for :func:`_write`."""
-    if _strings(column):
-        return map(_encode_str, column)
-    if not (all(map(isinstance, column, repeat(list)))
-            and all(map(isinstance, chain.from_iterable(column), repeat(str)))):
-        return None
-    # Each distinct list is encoded once: a polarity column holds at most four.
-    keys = list(map(tuple, column))
-    texts = {key: _str_list(key, newline) for key in set(keys)}
-    return map(texts.__getitem__, keys)
-
-
 def _str_list(items, newline: str) -> str:
     """The text of a list of ``str``; ``newline`` is as for :func:`_write`."""
     if not items:
@@ -186,8 +139,9 @@ def _str_list(items, newline: str) -> str:
 
 def _graph_text(obj, newline: str) -> Optional[str]:
     """The text of ``graph_doc(obj)``, written from ``obj``'s columns, or
-    ``None`` if a column fails the test :func:`_record_list` would make of
-    it in that document; ``newline`` is as for :func:`_write`.
+    ``None`` if a column holds a value that document could not hold: then
+    :func:`_write` writes ``graph_doc(obj)`` through ``json``, with its
+    text or its error.  ``newline`` is as for :func:`_write`.
 
     Every id is tested to be a ``str``, and the endpoint columns are
     encoded through the node ids' texts, so an endpoint that is not a node
@@ -272,7 +226,10 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
     """
     if not isinstance(doc, dict):
         raise DocumentError([(path or "/", "graph document must be an object")])
-    obj = _read_columns(doc, typegraph)
+    try:
+        obj = _read_columns(doc, typegraph)
+    except StructuralError:  # a constructor refused the graph the columns describe
+        obj = None
     if obj is None:
         errors = _row_errors(doc, typegraph, path)
         if not errors:
@@ -300,8 +257,11 @@ _SIGNS = ("+", "-")
 
 
 def _read_columns(doc: dict, typegraph: Optional[Graph]):
-    """The object a graph document describes, or ``None`` if any check of
-    :func:`_row_errors` fails.  Every check is a pass over whole columns."""
+    """The object a graph document describes, or ``None`` if a check of
+    :func:`_row_errors` that no constructor makes fails.  Every check is a
+    pass over whole columns.  Endpoints, types and the polarity edges need
+    are checked by ``Graph``, ``TypedGraph`` and ``PolarizedGraph``, whose
+    :class:`StructuralError` :func:`parse_graph` takes as a rejection."""
     nodes, edges = doc.get("nodes", []), doc.get("edges", [])
     typed = typegraph is not None
     node_cols = _columns(nodes, ("id", "type") if typed else ("id",))
@@ -310,21 +270,15 @@ def _read_columns(doc: dict, typegraph: Optional[Graph]):
         return None
     nids, (eids, srcs, tgts) = node_cols[0], edge_cols[:3]
     node_set = frozenset(nids)
-    if (len(node_set) != len(nids) or len(set(eids)) != len(eids)
-            or not (node_set.issuperset(srcs) and node_set.issuperset(tgts))):
+    if len(node_set) != len(nids) or len(set(eids)) != len(eids):
         return None
     graph = Graph(node_set, dict(zip(eids, srcs)), dict(zip(eids, tgts)))
 
     if typed:
-        ntypes, etypes = node_cols[1], edge_cols[3]
-        if (any(map(contains, nodes, repeat("polarity"))) or not typegraph.nodes.issuperset(ntypes)
-                or not all(map(typegraph.src.__contains__, etypes))):
+        if any(map(contains, nodes, repeat("polarity"))):
             return None
-        node_types = dict(zip(nids, ntypes))
-        if (list(map(typegraph.src.__getitem__, etypes)) != list(map(node_types.__getitem__, srcs))
-                or list(map(typegraph.tgt.__getitem__, etypes)) != list(map(node_types.__getitem__, tgts))):
-            return None
-        return TypedGraph(graph, typegraph, Morphism(graph, typegraph, node_types, dict(zip(eids, etypes))))
+        typing = Morphism(graph, typegraph, dict(zip(nids, node_cols[1])), dict(zip(eids, edge_cols[3])))
+        return TypedGraph(graph, typegraph, typing)
     if any(map(contains, chain(nodes, edges), repeat("type"))):
         return None
     if not any(map(contains, nodes, repeat("polarity"))):
@@ -332,11 +286,8 @@ def _read_columns(doc: dict, typegraph: Optional[Graph]):
     pols = list(map(methodcaller("get", "polarity", []), nodes))
     if not (all(map(isinstance, pols, repeat(list))) and all(map(_SIGNS.__contains__, chain.from_iterable(pols)))):
         return None
-    nplus = frozenset(compress(nids, map(contains, pols, repeat("+"))))
-    nminus = frozenset(compress(nids, map(contains, pols, repeat("-"))))
-    if not (nplus.issuperset(srcs) and nminus.issuperset(tgts)):
-        return None
-    return PolarizedGraph(graph, nplus, nminus)
+    return PolarizedGraph(graph, frozenset(compress(nids, map(contains, pols, repeat("+")))),
+                          frozenset(compress(nids, map(contains, pols, repeat("-")))))
 
 
 def _array(doc: dict, key: str, path: str, errors: list) -> list:
@@ -584,33 +535,36 @@ def parse_rule(doc, path: str = ""):
 # -- traces ---------------------------------------------------------------------
 
 
+# The objects and arrows of a step's diagram, in the order DOT draws them:
+# each with its name and where the trace holds it, each arrow also with the
+# names of its source and target objects.
+_TRACE_OBJECTS = tuple((name, attrgetter(path)) for name, path in (
+    ("L", "rule.lhs"), ("K", "rule.interface"), ("R", "rule.rhs"), ("TK", "rule.t.target"),
+    ("G", "match.target"), ("D", "context"), ("H", "result"), ("TL", "m_bar.target"),
+))
+_TRACE_ARROWS = tuple((name, attrgetter(path), src, tgt) for name, path, src, tgt in (
+    ("l", "rule.l", "K", "L"),
+    ("r", "rule.r", "K", "R"),
+    ("t", "rule.t", "K", "TK"),
+    ("n", "n", "K", "D"),
+    ("m", "match", "L", "G"),
+    ("m_bar", "m_bar", "G", "TL"),
+    ("l_prime", "l_prime", "TK", "TL"),
+    ("g", "g", "D", "G"),
+    ("n_prime", "n_prime", "D", "TK"),
+    ("h", "h", "D", "H"),
+    ("p", "p", "R", "H"),
+))
+
+
 def trace_doc(trace: RewriteTrace) -> dict:
-    """Serialize every object and arrow a rewrite step constructed."""
+    """Every object and arrow a rewrite step constructed.  The objects are
+    the trace's graph objects themselves, which :func:`dumps` writes as
+    their :func:`graph_doc`; the arrows are morphism documents."""
     return {
         "mode": trace.rule.mode,
-        "objects": {
-            "L": graph_doc(trace.rule.lhs),
-            "K": graph_doc(trace.rule.interface),
-            "R": graph_doc(trace.rule.rhs),
-            "TK": graph_doc(trace.rule.t.target),
-            "G": graph_doc(trace.match.target),
-            "D": graph_doc(trace.context),
-            "H": graph_doc(trace.result),
-            "TL": graph_doc(trace.m_bar.target),
-        },
-        "arrows": {
-            "l": morphism_doc(trace.rule.l),
-            "r": morphism_doc(trace.rule.r),
-            "t": morphism_doc(trace.rule.t),
-            "m": morphism_doc(trace.match),
-            "l_prime": morphism_doc(trace.l_prime),
-            "m_bar": morphism_doc(trace.m_bar),
-            "g": morphism_doc(trace.g),
-            "n_prime": morphism_doc(trace.n_prime),
-            "n": morphism_doc(trace.n),
-            "h": morphism_doc(trace.h),
-            "p": morphism_doc(trace.p),
-        },
+        "objects": {name: get(trace) for name, get in _TRACE_OBJECTS},
+        "arrows": {name: morphism_doc(get(trace)) for name, get, _, _ in _TRACE_ARROWS},
     }
 
 
@@ -646,38 +600,17 @@ def _graph_dot_lines(obj, prefix: str = "", indent: str = "  "):
     return lines
 
 
-_TRACE_OBJECTS = ("L", "K", "R", "TK", "G", "D", "H", "TL")
-_TRACE_ARROWS = (
-    ("l", "K", "L"),
-    ("r", "K", "R"),
-    ("t", "K", "TK"),
-    ("n", "K", "D"),
-    ("m", "L", "G"),
-    ("m_bar", "G", "TL"),
-    ("l_prime", "TK", "TL"),
-    ("g", "D", "G"),
-    ("n_prime", "D", "TK"),
-    ("h", "D", "H"),
-    ("p", "R", "H"),
-)
-
-
 def export_dot(x) -> str:
     """Deterministic DOT text for a graph object or a whole rewrite trace."""
     if isinstance(x, RewriteTrace):
-        objs = {
-            "L": x.rule.lhs, "K": x.rule.interface, "R": x.rule.rhs,
-            "TK": x.rule.t.target, "G": x.match.target, "D": x.context,
-            "H": x.result, "TL": x.m_bar.target,
-        }
         lines = ["digraph trace {", "  compound=true;"]
-        for name in _TRACE_OBJECTS:
+        for name, get in _TRACE_OBJECTS:
             lines.append(f"  subgraph cluster_{name} {{")
             lines.append(f'    label="{name}";')
             lines.append(f'    "{name}.__anchor" [shape=point, style=invis];')
-            lines.extend(_graph_dot_lines(objs[name], prefix=f"{name}.", indent="    "))
+            lines.extend(_graph_dot_lines(get(x), prefix=f"{name}.", indent="    "))
             lines.append("  }")
-        for arrow, src, tgt in _TRACE_ARROWS:
+        for arrow, _, src, tgt in _TRACE_ARROWS:
             lines.append(
                 f'  "{src}.__anchor" -> "{tgt}.__anchor"'
                 f' [label="{arrow}", ltail=cluster_{src}, lhead=cluster_{tgt}];'

@@ -6,10 +6,10 @@ import pathlib
 import pytest
 
 import agree.cli
-from agree import GR, Graph, Morphism, carrier, iso_search
+from agree import GR, GRPOL, Graph, Morphism, carrier, iso_search, strict_complement, t_object
 from agree.cli import main
 from agree.rewrite import Fpbc
-from agree.io import dumps, parse_graph
+from agree.io import dumps, morphism_doc, parse_graph, parse_morphism
 from test_io import page_copy_rule_doc
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -151,6 +151,13 @@ class TestMatches:
         assert json.loads(capsys.readouterr().out) == []
 
 
+_POLARIZED_HOST = {
+    "nodes": [{"id": "a", "polarity": ["+"]}, {"id": "v", "polarity": ["+", "-"]},
+              {"id": "b", "polarity": ["-"]}],
+    "edges": [{"id": "av", "src": "a", "tgt": "v"}, {"id": "vb", "src": "v", "tgt": "b"}],
+}
+
+
 class TestClassifier:
     def test_counts(self, workdir, capsys):
         tmp, write = workdir
@@ -159,6 +166,13 @@ class TestClassifier:
         out = json.loads(capsys.readouterr().out)
         assert len(out["total"]["nodes"]) == 4
         assert len(out["total"]["edges"]) == 2 + 16
+
+    def test_polarized_host(self, workdir, capsys):
+        tmp, write = workdir
+        graph = write("graph.json", _POLARIZED_HOST)
+        assert main(["classifier", "--graph", graph]) == 0
+        cls = t_object(parse_graph(_POLARIZED_HOST), GRPOL)
+        assert capsys.readouterr().out == dumps({"total": cls.total, "unit": morphism_doc(cls.unit)})
 
 
 class TestFpbc:
@@ -237,6 +251,16 @@ class TestComplement:
         out = json.loads(capsys.readouterr().out)
         assert [n["id"] for n in out["complement"]["nodes"]] == ["a", "b"]
         assert out["complement"]["edges"] == []
+
+    def test_polarized_mono(self, workdir, capsys):
+        tmp, write = workdir
+        doc = {"source": {"nodes": [{"id": "x", "polarity": ["+", "-"]}], "edges": []},
+               "target": _POLARIZED_HOST, "nodes": {"x": "v"}, "edges": {}}
+        m = write("m.json", doc)
+        assert main(["complement", "--m", m]) == 0
+        comp, incl = strict_complement(parse_morphism(doc), GRPOL)
+        assert capsys.readouterr().out == dumps({"complement": comp, "inclusion": morphism_doc(incl)})
+        assert comp.nplus == {"a"} and comp.nminus == {"b"}
 
 
 class TestLaws:
@@ -368,3 +392,22 @@ def test_hostile_documents_give_positioned_errors(case, workdir, capsys):
     err = capsys.readouterr().err
     assert any(line.startswith("error: /") for line in err.splitlines()), err
     assert "Traceback" not in err
+
+
+# Files ``json`` cannot read: bytes that are not UTF-8, and arrays nested
+# past the parser's recursion limit.
+UNREADABLE = {
+    "undecodable": b'\xff\xfe{"nodes": []}',
+    "over-deep": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("argv", [["classifier", "--graph"], ["check-rule", "--rule"], ["complement", "--m"]])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_files_are_input_errors(case, argv, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(UNREADABLE[case])
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -9,6 +9,7 @@ again here after all the others.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -38,6 +39,18 @@ SCENARIOS = [
     ("anonymize_rule", "network_graph", "network_match"),
     ("nonlocal_keep_one_rule", "three_elements_graph", "element_match"),
 ]
+
+
+# The sha256 of the DOT text `agree apply --match … --dot` writes for each
+# scenario.
+DOT_DIGESTS = {
+    "clone_node_rule": "1b048e56b352a75e066de8555faf2947fbebb490af33d965da593637e254e7c5",
+    "clone_outgoing_rule": "1d9731f5fb83b3c8a71e695193c0a688aa99a6786857ea1df27b1345b088d6d0",
+    "delete_node_rule": "720bc85032e7c328a5d2c69d164b2c800b5171461d37348f939ff45874009740",
+    "web_copy_rule": "b2166fa8ed379f277724e4a9df76da67af8dacea1b3f1c9a2c4a6db96487799c",
+    "anonymize_rule": "ecdf8c7a730811374dc27549ee9375afc965aa7b38a2574f7dc4d40fcdcc46e8",
+    "nonlocal_keep_one_rule": "73697e3bf8a76500a58c5101484e363e5c5bf12dc2de3fe38ac4c27958838736",
+}
 
 
 def fixture_commands(typegraphs):
@@ -116,6 +129,15 @@ def test_fixture_commands_are_repeatable(tmp_path):
     assert {code for code, *_ in first} == {0, 1, 3}
     for argv, a, b, c in zip(commands, first, second, fresh):
         assert a == b == c, argv
+
+
+def test_dot_outputs_are_pinned(tmp_path, capsys):
+    for rule, graph, match in SCENARIOS:
+        dot = tmp_path / f"{rule}.dot"
+        assert main(["apply", "--rule", str(FIXTURES / f"{rule}.json"), "--graph", str(FIXTURES / f"{graph}.json"),
+                     "--match", str(FIXTURES / f"{match}.json"), "--dot", str(dot)]) == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_DIGESTS[rule], rule
+    capsys.readouterr()
 
 
 def test_law_reports_do_not_depend_on_what_ran_before():

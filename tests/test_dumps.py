@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import agree.io
 from agree import Graph, Morphism, PolarizedGraph, TypedGraph, generate, pol_minimal
 from agree.cli import main
-from agree.io import dumps, graph_doc, morphism_doc, parse_graph, parse_rule, rule_doc
+from agree.io import dumps, graph_doc, morphism_doc, parse_graph, parse_morphism, parse_rule, rule_doc, trace_doc
 from agree.laws import default_instance
+from agree.rewrite import agree_step, psqpo_step
 from helpers import with_graph_docs
+from test_determinism import SCENARIOS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -325,6 +327,32 @@ def test_fixture_command_documents(monkeypatch, tmp_path, capsys):
         assert dumps(doc) == reference(with_graph_docs(doc))
     for obj in graphs:
         assert dumps(obj) == reference(graph_doc(obj))
+
+
+def _load(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("rule_name,graph_name,match_name", SCENARIOS)
+def test_trace_documents_hold_the_trace_objects(rule_name, graph_name, match_name):
+    """A trace document holds the step's own graph objects and is written
+    as the document with each object replaced by its ``graph_doc``."""
+    rule, instance = parse_rule(_load(rule_name))
+    host = parse_graph(_load(graph_name), instance.typegraph)
+    m = parse_morphism(_load(match_name), source=rule.lhs, target=host)
+    trace = psqpo_step(rule, m) if rule.mode == "PSQPO" else agree_step(rule, m, instance)
+    doc = trace_doc(trace)
+    own = {"L": rule.lhs, "K": rule.interface, "R": rule.rhs, "TK": rule.t.target,
+           "G": host, "D": trace.context, "H": trace.result, "TL": trace.m_bar.target}
+    assert list(doc["objects"]) == list(own)
+    assert all(doc["objects"][name] is obj for name, obj in own.items())
+    assert dumps(doc) == reference(with_graph_docs(doc))
+
+
+def test_trace_scenarios_cover_every_mode():
+    rules = [parse_rule(_load(rule)) for rule, _, _ in SCENARIOS]
+    assert {rule.mode for rule, _ in rules} == {"AGREE", "SQPO", "PSQPO"}
+    assert any(instance.typegraph is not None for _, instance in rules)
 
 
 @pytest.mark.parametrize("category,kinds", [

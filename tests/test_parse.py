@@ -188,3 +188,35 @@ def test_row_pass_that_finds_nothing_is_an_internal_error(monkeypatch):
         agree.io.parse_graph({"nodes": [], "edges": []})
     with pytest.raises(DocumentError):
         agree.io.parse_graph({"nodes": [{"id": 1}], "edges": []})
+
+
+_PLAIN_EDGE = {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"id": "e", "src": "a", "tgt": "b"}]}
+
+# One document per invariant the column pass leaves to a constructor:
+# ``Graph`` checks endpoints, ``TypedGraph`` its typing, ``PolarizedGraph``
+# the polarity its edges need.
+CONSTRUCTOR_CHECKS = {
+    "dangling src": (_edited(_PLAIN_EDGE, "edges", 0, src="zz"), False),
+    "dangling tgt": (_edited(_PLAIN_EDGE, "edges", 0, tgt="zz"), False),
+    "unknown node type": (_edited(_TYPED_PATH, "nodes", 0, type="zz"), True),
+    "unknown edge type": (_edited(_TYPED_PATH, "edges", 1, type="zz"), True),
+    "edge type against its end types": (_edited(_TYPED_PATH, "edges", 0, type="tg"), True),
+    "missing +": (_edited(_POLARIZED_PATH, "nodes", 1, polarity=["-"]), False),
+    "missing -": (_edited(_POLARIZED_PATH, "nodes", 1, polarity=["+"]), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_CHECKS))
+def test_constructor_checks_give_positioned_errors(case):
+    """A constructor refuses the document's graph, and ``parse_graph``
+    words that refusal as the reference parser does."""
+    doc, typed = CONSTRUCTOR_CHECKS[case]
+    typegraph = default_instance("typed").typegraph if typed else None
+    with pytest.raises(StructuralError):
+        agree.io._read_columns(doc, typegraph)
+    with pytest.raises(DocumentError) as got:
+        agree.io.parse_graph(doc, typegraph, path="/g")
+    with pytest.raises(DocumentError) as expected:
+        reference_parse_graph(doc, typegraph, path="/g")
+    assert got.value.errors == expected.value.errors
+    assert all(path.startswith("/g/") for path, _ in got.value.errors)
