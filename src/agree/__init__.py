@@ -72,6 +72,7 @@ from .laws import DEFAULT_TYPEGRAPH, LAW_IDS, LawReport, default_instance, gener
 from .errors import (
     DocumentError,
     GraphError,
+    InvariantError,
     PreconditionError,
     RuleError,
     StructuralError,

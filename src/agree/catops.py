@@ -22,7 +22,7 @@ from .core import (
     require_object,
     validate_morphism,
 )
-from .errors import PreconditionError, StructuralError
+from .errors import InvariantError, PreconditionError, StructuralError
 
 __all__ = [
     "Pullback",
@@ -42,10 +42,11 @@ def _pair(a: str, b: str) -> str:
 
 
 def _checked(instance, source, target, nodemap, edgemap) -> tuple:
-    """The morphism and its validation report, asserted valid."""
+    """The morphism and its validation report, checked valid."""
     m = Morphism(source, target, nodemap, edgemap)
     rep = validate_morphism(m, instance)
-    assert rep.valid, f"internal construction produced an invalid morphism: {rep.problems}"
+    if not rep.valid:
+        raise InvariantError(f"internal construction produced an invalid morphism: {rep.problems}")
     return m, rep
 
 
@@ -95,8 +96,8 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
                              dict(zip(node_names, node_x)), dict(zip(edge_names, edge_x)))
     p2, _ = _checked(instance, apex, g.source,
                      dict(zip(node_names, node_y)), dict(zip(edge_names, edge_y)))
-    if validate_morphism(g, instance).is_mono_in_M:
-        assert p1_report.is_mono_in_M, "stability of admissible monos failed"
+    if validate_morphism(g, instance).is_mono_in_M and not p1_report.is_mono_in_M:
+        raise InvariantError("stability of admissible monos failed")
     return Pullback(apex, p1, p2, f, g)
 
 
@@ -137,8 +138,9 @@ def pullback_mediator(pb: Pullback, v: Morphism, w: Morphism) -> Morphism:
         raise PreconditionError("cone does not commute with the cospan")
     nodemap = {x: _pair(v.nodemap[x], w.nodemap[x]) for x in v.nodemap}
     edgemap = {e: _pair(v.edgemap[e], w.edgemap[e]) for e in v.edgemap}
-    apex_nodes = carrier(pb.apex).nodes
-    assert all(n in apex_nodes for n in nodemap.values())
+    apex = carrier(pb.apex)
+    if not (apex.nodes.issuperset(nodemap.values()) and apex.src.keys() >= set(edgemap.values())):
+        raise InvariantError("the mediator leaves the pullback's apex")
     return Morphism(v.source, pb.apex, nodemap, edgemap)
 
 
@@ -190,7 +192,8 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
 
     h, _ = _checked(instance, n.target, result, h_nodes, h_edges)
     p, _ = _checked(instance, r.target, result, p_nodes, p_edges)
-    assert compose(h, n) == compose(p, r)
+    if compose(h, n) != compose(p, r):
+        raise InvariantError("the pushout square does not commute")
     return Pushout(result, h, p)
 
 

@@ -27,7 +27,7 @@ from .core import (
     require_object,
     validate_morphism,
 )
-from .errors import PreconditionError, StructuralError
+from .errors import InvariantError, PreconditionError, StructuralError
 
 __all__ = [
     "ClassifiedObject",
@@ -189,27 +189,15 @@ def _enlarge(y, instance: CategoryInstance) -> tuple:
     total = instance.make(Graph(g.nodes.union(stars), src, tgt), node_labels, edge_labels)
 
     unit = Morphism(y, total, {n: n for n in g.nodes}, {e: e for e in g.src})
-    rep = validate_morphism(unit, instance)
-    assert rep.is_mono_in_M
+    if not validate_morphism(unit, instance).is_mono_in_M:
+        raise InvariantError("the unit of an enlargement must be an admissible mono")
     return total, unit.nodemap, unit.edgemap, frozenset(stars), frozenset(ends), ends
 
 
 def t_morphism(f: Morphism, instance: CategoryInstance) -> Morphism:
-    """Functorial action on arrows: originals map by ``f``, stars to stars."""
-    rep = validate_morphism(f, instance)
-    if not rep.valid:
-        raise PreconditionError(f"t_morphism needs a valid morphism: {rep.problems}")
-    cx = t_object(f.source, instance)
-    cy = t_object(f.target, instance)
-
-    nodemap = dict(f.nodemap)
-    nodemap.update({s: s for s in cx.star_nodes})
-    edgemap = dict(f.edgemap)
-    for eid, (n, p, label) in cx.star_edge_ends.items():
-        edgemap[eid] = _edge_id("*", nodemap[n], nodemap[p], label)
-    out = Morphism(cx.total, cy.total, nodemap, edgemap)
-    assert validate_morphism(out, instance).valid
-    return out
+    """Functorial action on arrows, ``T(f) = phi(unit, f)``: originals map
+    by ``f``, stars to stars."""
+    return phi(t_object(f.source, instance).unit, f, instance)
 
 
 def phi(m: Morphism, f: Morphism, instance: CategoryInstance) -> Morphism:
@@ -232,7 +220,8 @@ def phi(m: Morphism, f: Morphism, instance: CategoryInstance) -> Morphism:
                                {z: f.nodemap[x] for x, z in m.nodemap.items()},
                                {z: f.edgemap[x] for x, z in m.edgemap.items()})
     out = Morphism(m.target, cy.total, nodemap, edgemap)
-    assert validate_morphism(out, instance).valid
+    if not validate_morphism(out, instance).valid:
+        raise InvariantError("phi built an arrow that is not a valid morphism")
     return out
 
 
@@ -265,8 +254,8 @@ def _points(instance: CategoryInstance) -> tuple:
     one = final_object(instance)
     c_zero = t_object(initial_object(instance), instance)
     b = _into(one, c_zero.total, instance)
-    rep = validate_morphism(b, instance)
-    assert rep.is_iso, "the enlarged initial object must be final"
+    if not validate_morphism(b, instance).is_iso:
+        raise InvariantError("the enlarged initial object must be final")
     b_inv = Morphism(one, c_zero.total,
                      {v: k for k, v in b.nodemap.items()},
                      {v: k for k, v in b.edgemap.items()})

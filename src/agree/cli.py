@@ -39,11 +39,14 @@ _LAW_CATEGORIES["FPBC_FINAL"] = ("gr", "typed")
 
 
 def _load(path):
-    """The JSON value in the file ``path``.  Text that is not UTF-8, or
-    nested deeper than ``json`` reads, is refused with the file named."""
+    """The JSON value in the file ``path``.  Text that is not JSON, not
+    UTF-8, or nested deeper than ``json`` reads, is refused with the file
+    named."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DocumentError([(path, f"not JSON: {exc.msg} at line {exc.lineno} column {exc.colno}")]) from None
         except UnicodeDecodeError as exc:
             raise DocumentError([(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}")]) from None
         except RecursionError:
@@ -260,7 +263,7 @@ def main(argv=None) -> int:
         for path, msg in exc.errors:
             print(f"error: {path}: {msg}", file=sys.stderr)
         return 1
-    except (GraphError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,12 @@ class PreconditionError(GraphError):
     map that is not an admissible mono."""
 
 
+class InvariantError(GraphError):
+    """A construction broke a fact it guarantees, e.g. a pullback whose
+    projection is not a valid morphism.  Raised by an explicit check, so
+    it is raised the same way under ``python -O``."""
+
+
 class RuleError(GraphError):
     """A rewrite rule is malformed for its declared mode."""
 

@@ -33,7 +33,7 @@ from .core import (
     typed_over,
     validate_morphism,
 )
-from .errors import PreconditionError, UnknownLawError
+from .errors import InvariantError, PreconditionError, UnknownLawError
 from .rewrite import (
     Rule,
     agree_rule,
@@ -189,7 +189,8 @@ class _Gen:
         sub = Graph.build(nodemap, {d: (inv[g.src[e]], inv[g.tgt[e]]) for d, e in edgemap.items()})
         source = self.instance.make(sub, _pull(target.node_labels, nodemap), _pull(target.edge_labels, edgemap))
         m = Morphism(source, target, nodemap, edgemap)
-        assert validate_morphism(m, self.instance).is_mono_in_M
+        if not validate_morphism(m, self.instance).is_mono_in_M:
+            raise InvariantError("the generator drew an arrow that is not an admissible mono")
         return m
 
     def arrow_into(self, target, prefix="x", nmax=None, emax=None):
@@ -224,7 +225,8 @@ class _Gen:
                 labels[t] |= {"-"}
         source = self.instance.make(Graph.build(nodes, edges), labels, _pull(target.edge_labels, edgemap))
         f = Morphism(source, target, nodemap, edgemap)
-        assert validate_morphism(f, self.instance).valid
+        if not validate_morphism(f, self.instance).valid:
+            raise InvariantError("the generator drew an arrow that is not a valid morphism")
         return f
 
     def morphism(self):
@@ -289,7 +291,8 @@ class _Gen:
 
         target = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
         f = Morphism(source, target, nodemap, edgemap)
-        assert validate_morphism(f, self.instance).valid
+        if not validate_morphism(f, self.instance).valid:
+            raise InvariantError("the generator drew an arrow that is not a valid morphism")
         return f
 
     def match_onto(self, lhs, extra_nodes=None, extra_edges=None):
@@ -334,7 +337,8 @@ class _Gen:
 
         host = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
         m = Morphism(lhs, host, nodemap, edgemap)
-        assert validate_morphism(m, self.instance).is_mono_in_M
+        if not validate_morphism(m, self.instance).is_mono_in_M:
+            raise InvariantError("the generator drew an arrow that is not an admissible mono")
         return m
 
     def _ends(self, labels, nodes, label):

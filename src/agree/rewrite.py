@@ -43,7 +43,7 @@ from .core import (
     pol_induce,
     validate_morphism,
 )
-from .errors import PreconditionError, RuleError
+from .errors import InvariantError, PreconditionError, RuleError
 
 __all__ = [
     "Rule",
@@ -172,12 +172,23 @@ def _require_match(rule: Rule, m: Morphism, instance: CategoryInstance):
         raise PreconditionError("match must start at the rule's left-hand side")
 
 
-def _assert_trace(trace: RewriteTrace, instance: CategoryInstance):
-    assert compose(trace.n_prime, trace.n) == trace.rule.t
-    assert compose(trace.g, trace.n) == compose(trace.match, trace.rule.l)
-    assert validate_morphism(trace.n, instance).is_mono_in_M
-    assert is_pullback_square(trace.rule.l, trace.n, trace.match, trace.g, instance)
-    assert compose(trace.h, trace.n) == compose(trace.p, trace.rule.r)
+def _check_trace(trace: RewriteTrace, instance: CategoryInstance):
+    """The two facts of a step that no construction checks: the mediator
+    factors the embedding, and the left square is a pullback.
+    ``is_pullback_square`` and ``pushout_along_mono`` check the rest."""
+    if compose(trace.n_prime, trace.n) != trace.rule.t:
+        raise InvariantError("the mediator does not factor the embedding: n' . n != t")
+    if not is_pullback_square(trace.rule.l, trace.n, trace.match, trace.g, instance):
+        raise InvariantError("the step's left square is not a pullback")
+
+
+def _first_phase(l: Morphism, t: Morphism, m: Morphism, instance: CategoryInstance) -> tuple:
+    """A step's first phase for ``K -l-> L -m-> G`` and the embedding
+    ``t``: the pullback of ``bar(m)`` against ``phi(t, l)``, whose apex is
+    the context D, and the mediator ``n: K -> D`` of the cone
+    ``(m . l, t)``."""
+    pb = pullback(bar(m, instance), phi(t, l, instance), instance)
+    return pb, pullback_mediator(pb, compose(m, l), t)
 
 
 def agree_step(rule: Rule, m: Morphism, instance: CategoryInstance) -> RewriteTrace:
@@ -188,14 +199,11 @@ def agree_step(rule: Rule, m: Morphism, instance: CategoryInstance) -> RewriteTr
         raise RuleError("rule embedding must be an admissible mono in this instance")
     _require_match(rule, m, instance)
 
-    l_prime = phi(rule.t, rule.l, instance)
-    m_bar = bar(m, instance)
-    pb = pullback(m_bar, l_prime, instance)
-    n = pullback_mediator(pb, compose(m, rule.l), rule.t)
+    pb, n = _first_phase(rule.l, rule.t, m, instance)
     po = pushout_along_mono(n, rule.r, instance)
-    trace = RewriteTrace(rule, m, l_prime, m_bar, pb.apex, pb.p1, pb.p2, n,
+    trace = RewriteTrace(rule, m, pb.g, pb.f, pb.apex, pb.p1, pb.p2, n,
                          po.result, po.h, po.p)
-    _assert_trace(trace, instance)
+    _check_trace(trace, instance)
     return trace
 
 
@@ -215,15 +223,15 @@ class Fpbc:
 def fpbc(l: Morphism, m: Morphism, instance: CategoryInstance) -> Fpbc:
     """Final pullback complement of ``K -l-> L -m-> G`` for an admissible mono ``m``,
     built by pulling the functorial enlargement of ``l`` back along the
-    classifying arrow of ``m``."""
+    classifying arrow of ``m``: a step's first phase with the unit at ``K``
+    as embedding."""
     if not validate_morphism(m, instance).is_mono_in_M:
         raise PreconditionError("final pullback complements need an admissible mono match")
     if l.target != m.source:
         raise PreconditionError("arrows do not compose: l must end where m starts")
-    pb = pullback(bar(m, instance), t_morphism(l, instance), instance)
-    unit_k = t_object(l.source, instance).unit
-    n = pullback_mediator(pb, compose(m, l), unit_k)
-    assert validate_morphism(n, instance).is_mono_in_M
+    pb, n = _first_phase(l, t_object(l.source, instance).unit, m, instance)
+    if not validate_morphism(n, instance).is_mono_in_M:
+        raise InvariantError("the complement's embedding of K is not an admissible mono")
     return Fpbc(n, pb.p1, pb.p2)
 
 
@@ -459,10 +467,7 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
         raise RuleError("psqpo_step needs a rule in PSQPO mode")
     if rule.nplus is None or rule.nminus is None:
         raise RuleError("polarized rules must carry a polarity on the interface")
-    if not validate_morphism(m, GR).is_mono_in_M:
-        raise PreconditionError("matches must be injective graph morphisms")
-    if m.source != rule.lhs:
-        raise PreconditionError("match must start at the rule's left-hand side")
+    _require_match(rule, m, GR)
 
     khat = PolarizedGraph(rule.interface, rule.nplus, rule.nminus)
     lhat = Morphism(khat, pol_induce(rule.lhs), rule.l.nodemap, rule.l.edgemap)
@@ -484,7 +489,7 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
         p=po.p,
         polarized=PolarizedPhase(khat, lhat, mhat, fp.n, fp.a, fp.n_prime),
     )
-    _assert_trace(trace, GR)
+    _check_trace(trace, GR)
     return trace
 
 
@@ -510,11 +515,11 @@ def strict_complement(m: Morphism, instance: CategoryInstance):
 
     ch = characteristic(m, instance)
     pb = pullback(ch.chi, ch.false_pt, instance)
-    apex = carrier(pb.apex)
-    assert {pb.p1.nodemap[x] for x in apex.nodes} == nodes
-    assert {pb.p1.edgemap[e] for e in apex.src} == edges
-    labels = pb.apex.node_labels
-    assert labels is None or {pb.p1.nodemap[x]: label for x, label in labels.items()} == comp.node_labels
+    node_of, labels = pb.p1.nodemap, pb.apex.node_labels
+    if (set(node_of.values()) != nodes or set(pb.p1.edgemap.values()) != edges
+            or (labels is not None and {node_of[x]: label for x, label in labels.items()} != comp.node_labels)):
+        raise InvariantError("the pullback of the characteristic arrow against false "
+                             "differs from the direct complement")
     return comp, incl
 
 
@@ -536,14 +541,9 @@ def complement_of_square(n: Morphism, l: Morphism, m: Morphism, g: Morphism,
     comp_d, incl_d = strict_complement(n, instance)
     comp_g, incl_g = strict_complement(m, instance)
     cd = carrier(comp_d)
-    cg = carrier(comp_g)
-    nodemap = {x: g.nodemap[x] for x in cd.nodes}
-    edgemap = {e: g.edgemap[e] for e in cd.src}
-    assert set(nodemap.values()) <= cg.nodes and set(edgemap.values()) <= set(cg.src)
-    out = Morphism(comp_d, comp_g, nodemap, edgemap)
-    rep = validate_morphism(out, instance)
-    assert rep.valid
-    assert is_pullback_square(out, incl_d, incl_g, g, instance)
+    out = Morphism(comp_d, comp_g, {x: g.nodemap[x] for x in cd.nodes}, {e: g.edgemap[e] for e in cd.src})
+    if not is_pullback_square(out, incl_d, incl_g, g, instance):
+        raise InvariantError("the square restricted to the strict complements is not a pullback")
     return out
 
 

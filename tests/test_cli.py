@@ -394,15 +394,21 @@ def test_hostile_documents_give_positioned_errors(case, workdir, capsys):
     assert "Traceback" not in err
 
 
-# Files ``json`` cannot read: bytes that are not UTF-8, and arrays nested
-# past the parser's recursion limit.
+# Files ``json`` cannot read: bytes that are not UTF-8, arrays nested past
+# the parser's recursion limit, and text that is not JSON.
 UNREADABLE = {
     "undecodable": b'\xff\xfe{"nodes": []}',
     "over-deep": b"[" * 100000 + b"]" * 100000,
+    "empty": b"",
+    "truncated": b'{"nodes": {"x": "v"}, "edges": {',
 }
 
 
-@pytest.mark.parametrize("argv", [["classifier", "--graph"], ["check-rule", "--rule"], ["complement", "--m"]])
+@pytest.mark.parametrize("argv", [
+    ["classifier", "--graph"], ["check-rule", "--rule"], ["complement", "--m"],
+    ["apply", "--rule", str(FIXTURES / "clone_node_rule.json"), "--graph", str(FIXTURES / "chain_graph.json"),
+     "--match"],
+])
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 def test_unreadable_files_are_input_errors(case, argv, tmp_path, capsys):
     path = tmp_path / "doc.json"
