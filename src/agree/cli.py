@@ -40,8 +40,8 @@ _LAW_CATEGORIES["FPBC_FINAL"] = ("gr", "typed")
 
 def _load(path):
     """The JSON value in the file ``path``.  Text that is not JSON, not
-    UTF-8, or nested deeper than ``json`` reads, is refused with the file
-    named."""
+    UTF-8, nested deeper than ``json`` reads or holding an integer longer
+    than it converts, is refused with the file named."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -49,6 +49,8 @@ def _load(path):
             raise DocumentError([(path, f"not JSON: {exc.msg} at line {exc.lineno} column {exc.colno}")]) from None
         except UnicodeDecodeError as exc:
             raise DocumentError([(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}")]) from None
+        except ValueError:  # after its subclasses: raised for an integer too long to convert
+            raise DocumentError([(path, "an integer literal has more digits than can be read")]) from None
         except RecursionError:
             raise DocumentError([(path, "JSON nested too deeply to read")]) from None
 
@@ -89,7 +91,7 @@ def _rule_and_graph(args):
 def cmd_matches(args) -> int:
     rule, host, instance = _rule_and_graph(args)
     matches = enumerate_matches(rule.lhs, host, instance)
-    _emit(docio.dumps([docio.morphism_doc(m) for m in matches]))
+    _emit(docio.dumps(matches))
     return 0
 
 
@@ -126,7 +128,7 @@ def cmd_classifier(args) -> int:
     tg = _typegraph(args.typegraph)
     obj = docio.parse_graph(gdoc, tg)
     cls = t_object(obj, _instance(obj, tg))
-    _emit(docio.dumps({"total": cls.total, "unit": docio.morphism_doc(cls.unit)}))
+    _emit(docio.dumps({"total": cls.total, "unit": cls.unit}))
     return 0
 
 
@@ -142,8 +144,8 @@ def cmd_fpbc(args) -> int:
     report = fpbc_verify(l, m, result.n, result.a, instance, size_bound=args.bound) if args.verify else None
     _emit(docio.dumps({
         "D": result.context,
-        "n": docio.morphism_doc(result.n),
-        "a": docio.morphism_doc(result.a),
+        "n": result.n,
+        "a": result.a,
     }))
     if report is not None:
         print(f"finality: {'ok' if report.ok else 'FAILED'} "
@@ -172,7 +174,7 @@ def cmd_complement(args) -> int:
     if not validate_morphism(m, instance).is_mono_in_M:
         raise DocumentError([("/", "strict complements are taken of admissible monos")])
     comp, incl = strict_complement(m, instance)
-    _emit(docio.dumps({"complement": comp, "inclusion": docio.morphism_doc(incl)}))
+    _emit(docio.dumps({"complement": comp, "inclusion": incl}))
     return 0
 
 

@@ -45,9 +45,9 @@ def dumps(doc) -> str:
     The text is that of ``json.dumps(doc, indent=2, sort_keys=True,
     ensure_ascii=False)`` plus a final newline, written directly: with
     ``indent`` set, ``json`` falls back to its pure-Python encoder.  A
-    graph object anywhere in ``doc`` is written as its :func:`graph_doc`
-    would be, straight from the graph's columns; a graph document is
-    written as any other dict.
+    graph object or a morphism anywhere in ``doc`` is written as its
+    :func:`graph_doc` or :func:`morphism_doc` would be, straight from its
+    columns or maps; a document is written as any other dict.
     """
     out = []
     _write(doc, "\n", out)
@@ -60,17 +60,21 @@ _encode_str = json.encoder.encode_basestring
 
 def _write(value, newline: str, out: list):
     """Append the text of ``value`` to ``out``; ``newline`` is a line break
-    followed by the indentation of the line ``value`` starts on.  A graph
-    object is written as its :func:`graph_doc` would be."""
+    followed by the indentation of the line ``value`` starts on.  Graph
+    objects and morphisms are written as their documents would be."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         sep = "[" + inner
+        layout = None  # the last arrow layout: the matches of one rule share it
         for item in value:
             out.append(sep)
             if type(item) is str:
                 out.append(_encode_str(item))
+            elif (isinstance(item, Morphism) and (layout := _arrow_layout(item, inner, layout))
+                  and (text := _arrow_text(item, layout)) is not None):
+                out.append(text)
             else:
                 _write(item, inner, out)
             sep = "," + inner
@@ -89,9 +93,12 @@ def _write(value, newline: str, out: list):
         out.append(newline + "}")
     elif isinstance(value, _GRAPHS) and (text := _graph_text(value, newline)) is not None:
         out.append(text)
+    elif (isinstance(value, Morphism) and (layout := _arrow_layout(value, newline))
+          and (text := _arrow_text(value, layout)) is not None):
+        out.append(text)
     else:
         # Numbers, constants, empty containers, dicts with non-string keys,
-        # and graphs whose columns fail a test of :func:`_graph_text`.
+        # and graphs and morphisms that fail a test of their writer.
         text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, default=_graph_default)
         out.append(text.replace("\n", newline))
 
@@ -100,11 +107,46 @@ _GRAPHS = (Graph, TypedGraph, PolarizedGraph)
 
 
 def _graph_default(value):
-    """``json``'s ``default`` for :func:`_write`: a graph object's document;
-    any other value is refused as ``json`` refuses it."""
+    """``json``'s ``default`` for :func:`_write`: a graph object's or a
+    morphism's document; any other value is refused as ``json`` refuses it."""
     if isinstance(value, _GRAPHS):
         return graph_doc(value)
+    if isinstance(value, Morphism):
+        return morphism_doc(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _arrow_layout(f: Morphism, newline: str, last: Optional[tuple] = None) -> Optional[tuple]:
+    """The fixed text of ``morphism_doc(f)`` (``newline`` as for :func:`_write`):
+    the maps' key sets and sorted keys, four parts per key with a slot for
+    its value last, and the closing text.  ``last``, another arrow's layout,
+    is kept if its key sets are ``f``'s; ``None`` if a key is not a ``str``."""
+    edges, nodes = f.edgemap, f.nodemap
+    if last is not None and edges.keys() == last[0] and nodes.keys() == last[1]:
+        return last
+    if not (_strings(edges) and _strings(nodes)):
+        return None
+    inner, key_line = newline + "  ", newline + "    "
+    orders, parts, text = (sorted(edges), sorted(nodes)), [], "{" + inner + '"edges": '
+    for order, after in zip(orders, ("," + inner + '"nodes": ', newline + "}")):
+        block = ["," + key_line, None, ": ", None] * len(order)
+        block[1::4] = map(_encode_str, order)
+        if order:  # the first key opens the map
+            block[0] = text + "{" + key_line
+        parts += block
+        text = (inner + "}" if order else text + "{}") + after
+    return (edges.keys(), nodes.keys(), *orders, parts + [text])
+
+
+def _arrow_text(f: Morphism, layout: tuple) -> Optional[str]:
+    """The text of ``morphism_doc(f)`` in ``layout``; ``None`` if a value is not a ``str``."""
+    parts = layout[4].copy()
+    values = chain(map(f.edgemap.__getitem__, layout[2]), map(f.nodemap.__getitem__, layout[3]))
+    try:
+        parts[3::4] = map(_encode_str, values)
+    except TypeError:  # the encoder refuses a value that is not a str
+        return None
+    return "".join(parts)
 
 
 def _records(count: int, columns: list, newline: str) -> str:
@@ -558,13 +600,13 @@ _TRACE_ARROWS = tuple((name, attrgetter(path), src, tgt) for name, path, src, tg
 
 
 def trace_doc(trace: RewriteTrace) -> dict:
-    """Every object and arrow a rewrite step constructed.  The objects are
-    the trace's graph objects themselves, which :func:`dumps` writes as
-    their :func:`graph_doc`; the arrows are morphism documents."""
+    """Every object and arrow a rewrite step constructed: the trace's own
+    graph objects and morphisms, which :func:`dumps` writes as their
+    :func:`graph_doc` and :func:`morphism_doc`."""
     return {
         "mode": trace.rule.mode,
         "objects": {name: get(trace) for name, get in _TRACE_OBJECTS},
-        "arrows": {name: morphism_doc(get(trace)) for name, get, _, _ in _TRACE_ARROWS},
+        "arrows": {name: get(trace) for name, get, _, _ in _TRACE_ARROWS},
     }
 
 

@@ -28,7 +28,7 @@ from .catops import (
     pullback_mediator,
     pushout_along_mono,
 )
-from .classifier import bar, characteristic, phi, t_morphism, t_object
+from .classifier import bar, characteristic, phi, t_object
 from .core import (
     GR,
     GRPOL,
@@ -225,6 +225,12 @@ def fpbc(l: Morphism, m: Morphism, instance: CategoryInstance) -> Fpbc:
     built by pulling the functorial enlargement of ``l`` back along the
     classifying arrow of ``m``: a step's first phase with the unit at ``K``
     as embedding."""
+    pb, n = _fpbc_phase(l, m, instance)
+    return Fpbc(n, pb.p1, pb.p2)
+
+
+def _fpbc_phase(l: Morphism, m: Morphism, instance: CategoryInstance) -> tuple:
+    """:func:`fpbc`'s pullback, whose foot ``pb.g`` is ``T(l)``, and ``n``."""
     if not validate_morphism(m, instance).is_mono_in_M:
         raise PreconditionError("final pullback complements need an admissible mono match")
     if l.target != m.source:
@@ -232,7 +238,7 @@ def fpbc(l: Morphism, m: Morphism, instance: CategoryInstance) -> Fpbc:
     pb, n = _first_phase(l, t_object(l.source, instance).unit, m, instance)
     if not validate_morphism(n, instance).is_mono_in_M:
         raise InvariantError("the complement's embedding of K is not an admissible mono")
-    return Fpbc(n, pb.p1, pb.p2)
+    return pb, n
 
 
 @dataclass(frozen=True)
@@ -472,22 +478,22 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
     khat = PolarizedGraph(rule.interface, rule.nplus, rule.nminus)
     lhat = Morphism(khat, pol_induce(rule.lhs), rule.l.nodemap, rule.l.edgemap)
     mhat = pol_induce(m)
-    fp = fpbc(lhat, mhat, GRPOL)
+    pb, nhat = _fpbc_phase(lhat, mhat, GRPOL)
 
-    n = pol_forget(fp.n)
+    n = pol_forget(nhat)
     po = pushout_along_mono(n, rule.r, GR)
     trace = RewriteTrace(
         rule, m,
-        l_prime=pol_forget(t_morphism(lhat, GRPOL)),
-        m_bar=pol_forget(bar(mhat, GRPOL)),  # kept on mhat by fpbc: equals bar(m, GR)
-        context=pol_forget(fp.context),
-        g=pol_forget(fp.a),
-        n_prime=pol_forget(fp.n_prime),
+        l_prime=pol_forget(pb.g),
+        m_bar=pol_forget(pb.f),  # equals bar(m, GR)
+        context=pol_forget(pb.apex),
+        g=pol_forget(pb.p1),
+        n_prime=pol_forget(pb.p2),
         n=n,
         result=po.result,
         h=po.h,
         p=po.p,
-        polarized=PolarizedPhase(khat, lhat, mhat, fp.n, fp.a, fp.n_prime),
+        polarized=PolarizedPhase(khat, lhat, mhat, nhat, pb.p1, pb.p2),
     )
     _check_trace(trace, GR)
     return trace

@@ -195,10 +195,12 @@ def small_cone_objects(instance):
 
 def with_graph_docs(value):
     """``value`` with every graph object in it, inside dicts, lists and
-    tuples too, replaced by its ``graph_doc``: the document ``dumps``
-    writes for ``value``."""
+    tuples too, replaced by its ``graph_doc``, and every morphism by its
+    two maps: the document ``dumps`` writes for ``value``."""
     if isinstance(value, (Graph, TypedGraph, PolarizedGraph)):
         return graph_doc(value)
+    if isinstance(value, Morphism):
+        return {"nodes": dict(value.nodemap), "edges": dict(value.edgemap)}
     if isinstance(value, dict):
         return {key: with_graph_docs(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -395,12 +395,14 @@ def test_hostile_documents_give_positioned_errors(case, workdir, capsys):
 
 
 # Files ``json`` cannot read: bytes that are not UTF-8, arrays nested past
-# the parser's recursion limit, and text that is not JSON.
+# the parser's recursion limit, text that is not JSON, and an integer with
+# more digits than Python converts (4,300 by default).
 UNREADABLE = {
     "undecodable": b'\xff\xfe{"nodes": []}',
     "over-deep": b"[" * 100000 + b"]" * 100000,
     "empty": b"",
     "truncated": b'{"nodes": {"x": "v"}, "edges": {',
+    "long integer": b'{"nodes": [], "edges": [], "x": ' + b"1" * 5000 + b"}",
 }
 
 

@@ -3,6 +3,7 @@ sort_keys=True, ensure_ascii=False)`` plus a final newline."""
 
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -244,6 +245,124 @@ def test_non_string_graphs_fall_back():
     assert '"id": 1' in texts["int ids"] and '"src": 1' in texts["polarized int ids"]
 
 
+# -- morphisms: written from their maps -------------------------------------------
+
+# Keys from a small alphabet, so that drawn key sets often share keys or
+# differ in one; awkward strings and ``str`` subclasses among keys and values.
+ARROW_KEYS = st.sampled_from(["a", "b", "c"]) | IDS | IDS.map(Sub)
+ARROW_VALUES = IDS | IDS.map(Sub)
+
+
+@st.composite
+def arrow_maps(draw):
+    """A node key set and an edge key set, each possibly empty."""
+    return tuple(draw(st.lists(ARROW_KEYS, unique=True, max_size=4)) for _ in range(2))
+
+
+def _arrow(draw, key_sets, values=ARROW_VALUES):
+    """An arrow over one of ``key_sets``, its keys inserted in a drawn order."""
+    nodes, edges = draw(st.sampled_from(key_sets))
+    nodes, edges = draw(st.permutations(nodes)), draw(st.permutations(edges))
+    return Morphism(_EMPTY, _EMPTY, {k: draw(values) for k in nodes}, {k: draw(values) for k in edges})
+
+
+@st.composite
+def arrow_lists(draw):
+    """A list of arrows over a few key sets: neighbours share their key
+    sets or differ in them, and some maps are empty."""
+    key_sets = draw(st.lists(arrow_maps(), min_size=1, max_size=3))
+    arrows = [_arrow(draw, key_sets) for _ in range(draw(st.integers(1, 6)))]
+    return tuple(arrows) if draw(st.booleans()) else arrows
+
+
+_NOT_STR = st.sampled_from([0, 1, -2, 1.5, None, True, ("a",), b"a"])
+
+
+@st.composite
+def near_arrow_lists(draw):
+    """An arrow list with one arrow whose maps ``json`` writes otherwise or
+    not at all: a key or a value that is not a string, or a map that is a
+    mapping but not a ``dict``."""
+    arrows = list(draw(arrow_lists()))
+    i = draw(st.integers(0, len(arrows) - 1))
+    f = arrows[i]
+    nodes, edges = dict(f.nodemap), dict(f.edgemap)
+    target = draw(st.sampled_from([nodes, edges]))
+    flaw = draw(st.sampled_from(["key", "value", "keys", "values", "mapping"]))
+    if flaw == "key":
+        target[draw(_NOT_STR.filter(lambda key: not isinstance(key, bytes)))] = draw(ARROW_VALUES)
+    elif flaw == "value" and target:
+        target[draw(st.sampled_from(sorted(target)))] = draw(_NOT_STR | st.lists(STRINGS, max_size=1))
+    elif flaw == "keys":
+        target = {k: v for k, v in zip(range(len(target)), target.values())}
+        nodes, edges = (target, edges) if draw(st.booleans()) else (nodes, target)
+    elif flaw == "values":
+        target.update(dict.fromkeys(target, draw(_NOT_STR)))
+    else:
+        nodes = MappingProxyType(nodes)
+    arrows[i] = Morphism(_EMPTY, _EMPTY, nodes, edges)
+    return arrows
+
+
+def written(value):
+    """The ``json`` text of ``value`` with each graph object and morphism
+    in it replaced by its document, or the type of the error raised."""
+    return outcome(lambda v: reference(with_graph_docs(v)), value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrow_lists())
+def test_drawn_arrow_lists(arrows):
+    """A list of arrows is written as the list of their ``morphism_doc``,
+    whether neighbours share key sets or not, and so is each arrow alone."""
+    assert dumps(arrows) == written(arrows)
+    for f in arrows:
+        assert dumps(f) == reference(morphism_doc(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_arrow_lists())
+def test_drawn_near_arrow_lists(arrows):
+    """An arrow that fails a test of the arrow writer is written through
+    ``json``, with its text or its error."""
+    assert outcome(dumps, arrows) == written(arrows)
+
+
+@st.composite
+def arrows(draw):
+    return _arrow(draw, draw(st.lists(arrow_maps(), min_size=1, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(arrows() | GRAPHS | SCALARS, _containers, max_leaves=10))
+def test_drawn_arrows_next_to_graphs(value):
+    """Arrows nested in dicts, tuples and lists, next to graphs, are each
+    written as their ``morphism_doc``."""
+    assert outcome(dumps, value) == written(value)
+
+
+_POINT = Graph.build(["a"])
+
+
+@pytest.mark.parametrize("value", [
+    Morphism(_EMPTY, _EMPTY, {}, {}),
+    Morphism(_POINT, _POINT, {"a": "a"}, {}),
+    Morphism(_EMPTY, _EMPTY, {}, {"e": "f"}),
+    [Morphism(_EMPTY, _EMPTY, {}, {}), Morphism(_POINT, _POINT, {"a": "a"}, {}), Morphism(_EMPTY, _EMPTY, {}, {})],
+    [Morphism(None, None, {"a": "x"}, {"e": "y"}), Morphism(None, None, {"a": "x"}, {"f": "y"})],
+    [Morphism(None, None, {"a": "x"}, {"e": "y"}), Morphism(None, None, {"b": "x"}, {"e": "y"})],
+    [Morphism(None, None, {"a": "x", "b": "y"}, {}), Morphism(None, None, {"b": "y", "a": "x"}, {})],
+    [Morphism(None, None, {"a": "x"}, {}), Morphism(None, None, {}, {"a": "x"})],
+    {"f": (Morphism(None, None, {"": "\u2028", "\"": Sub("\n")}, {}),), "g": [[Morphism(None, None, {}, {})]]},
+    [Morphism(None, None, {"a": 1}, {}), Morphism(None, None, {"a": "x"}, {})],
+    [Morphism(None, None, {"a": "x"}, {}), Morphism(None, None, {"a": None}, {})],
+    [Morphism(None, None, {1: "x"}, {}), Morphism(None, None, {1: "x", "a": "y"}, {})],
+    Morphism(None, None, MappingProxyType({"a": "x"}), {}),
+])
+def test_hand_written_arrows(value):
+    assert outcome(dumps, value) == written(value)
+
+
 # -- documents the fixtures and the generator produce -----------------------------
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
@@ -292,26 +411,28 @@ def _fixture_commands():
     yield ["fpbc", "--l", str(FIXTURES / "clone_l.json"), "--m", str(FIXTURES / "complement_arrow.json")]
 
 
-def _graphs_in(value):
-    """The graph objects in ``value``, inside dicts, lists and tuples too."""
-    if isinstance(value, GRAPH_TYPES):
+def _objects_in(value, kinds):
+    """The objects of ``kinds`` in ``value``, inside dicts, lists and
+    tuples too."""
+    if isinstance(value, kinds):
         yield value
     elif isinstance(value, (dict, list, tuple)):
         for item in value.values() if isinstance(value, dict) else value:
-            yield from _graphs_in(item)
+            yield from _objects_in(item, kinds)
 
 
 def test_fixture_command_documents(monkeypatch, tmp_path, capsys):
     """Every document the CLI writes for the fixtures: match lists, result
     graphs, traces, enlargements, complements and a final pullback
-    complement.  The CLI passes its top-level graphs to ``dumps`` as
+    complement.  The CLI passes its graphs and arrows to ``dumps`` as
     objects; each is recorded on its own and must be written as its
-    ``graph_doc``."""
-    docs, graphs = [], []
+    ``graph_doc`` or its ``morphism_doc``."""
+    docs, graphs, arrows = [], [], []
     write = agree.io.dumps
 
     def recording(doc):
-        graphs.extend(_graphs_in(doc))
+        graphs.extend(_objects_in(doc, GRAPH_TYPES))
+        arrows.extend(_objects_in(doc, Morphism))
         if not isinstance(doc, GRAPH_TYPES):
             docs.append(doc)
         return write(doc)
@@ -321,12 +442,14 @@ def test_fixture_command_documents(monkeypatch, tmp_path, capsys):
     for argv in _fixture_commands():
         main(argv)
     capsys.readouterr()
-    assert graphs
+    assert graphs and arrows
     assert len(docs) + len(graphs) > 25
     for doc in docs:
         assert dumps(doc) == reference(with_graph_docs(doc))
     for obj in graphs:
         assert dumps(obj) == reference(graph_doc(obj))
+    for f in arrows:
+        assert dumps(f) == reference(morphism_doc(f))
 
 
 def _load(name):
@@ -335,8 +458,9 @@ def _load(name):
 
 @pytest.mark.parametrize("rule_name,graph_name,match_name", SCENARIOS)
 def test_trace_documents_hold_the_trace_objects(rule_name, graph_name, match_name):
-    """A trace document holds the step's own graph objects and is written
-    as the document with each object replaced by its ``graph_doc``."""
+    """A trace document holds the step's own graph objects and arrows and
+    is written as the document with each object replaced by its
+    ``graph_doc`` and each arrow by its maps."""
     rule, instance = parse_rule(_load(rule_name))
     host = parse_graph(_load(graph_name), instance.typegraph)
     m = parse_morphism(_load(match_name), source=rule.lhs, target=host)
@@ -346,6 +470,10 @@ def test_trace_documents_hold_the_trace_objects(rule_name, graph_name, match_nam
            "G": host, "D": trace.context, "H": trace.result, "TL": trace.m_bar.target}
     assert list(doc["objects"]) == list(own)
     assert all(doc["objects"][name] is obj for name, obj in own.items())
+    arrows = {"l": rule.l, "r": rule.r, "t": rule.t, "n": trace.n, "m": m, "m_bar": trace.m_bar,
+              "l_prime": trace.l_prime, "g": trace.g, "n_prime": trace.n_prime, "h": trace.h, "p": trace.p}
+    assert list(doc["arrows"]) == list(arrows)
+    assert all(doc["arrows"][name] is f for name, f in arrows.items())
     assert dumps(doc) == reference(with_graph_docs(doc))
 
 
