@@ -79,4 +79,7 @@ from .errors import (
     UnknownLawError,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The names imported above; the submodules they come from are not exported.
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

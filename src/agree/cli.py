@@ -25,7 +25,6 @@ from .rewrite import (
     fpbc,
     fpbc_verify,
     is_local_rule,
-    psqpo_step,
     strict_complement,
 )
 
@@ -114,7 +113,7 @@ def cmd_apply(args) -> int:
     if m is None:
         print("no match found", file=sys.stderr)
         return 3
-    trace = psqpo_step(rule, m) if rule.mode == "PSQPO" else agree_step(rule, m, instance)
+    trace = agree_step(rule, m, instance)
     _emit(docio.dumps(trace.result), args.out)
     if args.trace:
         _emit(docio.dumps(docio.trace_doc(trace)), args.trace)

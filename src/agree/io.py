@@ -120,8 +120,11 @@ def _arrow_layout(f: Morphism, newline: str, last: Optional[tuple] = None) -> Op
     """The fixed text of ``morphism_doc(f)`` (``newline`` as for :func:`_write`):
     the maps' key sets and sorted keys, four parts per key with a slot for
     its value last, and the closing text.  ``last``, another arrow's layout,
-    is kept if its key sets are ``f``'s; ``None`` if a key is not a ``str``."""
+    is kept if its key sets are ``f``'s; ``None`` if a map is not a ``dict``
+    or a key is not a ``str``."""
     edges, nodes = f.edgemap, f.nodemap
+    if not (isinstance(edges, dict) and isinstance(nodes, dict)):
+        return None
     if last is not None and edges.keys() == last[0] and nodes.keys() == last[1]:
         return last
     if not (_strings(edges) and _strings(nodes)):

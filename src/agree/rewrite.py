@@ -172,16 +172,6 @@ def _require_match(rule: Rule, m: Morphism, instance: CategoryInstance):
         raise PreconditionError("match must start at the rule's left-hand side")
 
 
-def _check_trace(trace: RewriteTrace, instance: CategoryInstance):
-    """The two facts of a step that no construction checks: the mediator
-    factors the embedding, and the left square is a pullback.
-    ``is_pullback_square`` and ``pushout_along_mono`` check the rest."""
-    if compose(trace.n_prime, trace.n) != trace.rule.t:
-        raise InvariantError("the mediator does not factor the embedding: n' . n != t")
-    if not is_pullback_square(trace.rule.l, trace.n, trace.match, trace.g, instance):
-        raise InvariantError("the step's left square is not a pullback")
-
-
 def _first_phase(l: Morphism, t: Morphism, m: Morphism, instance: CategoryInstance) -> tuple:
     """A step's first phase for ``K -l-> L -m-> G`` and the embedding
     ``t``: the pullback of ``bar(m)`` against ``phi(t, l)``, whose apex is
@@ -200,10 +190,23 @@ def agree_step(rule: Rule, m: Morphism, instance: CategoryInstance) -> RewriteTr
     _require_match(rule, m, instance)
 
     pb, n = _first_phase(rule.l, rule.t, m, instance)
+    return _second_phase(rule, m, (pb.g, pb.f, pb.apex, pb.p1, pb.p2), n, instance)
+
+
+def _second_phase(rule: Rule, m: Morphism, square: tuple, n: Morphism, instance: CategoryInstance,
+                  polarized: Optional[PolarizedPhase] = None) -> RewriteTrace:
+    """A step's second phase, after the first phase built the pullback
+    ``square``, its ``(g, f, apex, p1, p2)``, and the mediator ``n``: the
+    pushout of ``n`` along ``rule.r`` and the step's trace.  It checks the
+    two facts that no construction checks: the mediator factors the
+    embedding, and the left square is a pullback.  ``is_pullback_square``
+    and ``pushout_along_mono`` check the rest."""
     po = pushout_along_mono(n, rule.r, instance)
-    trace = RewriteTrace(rule, m, pb.g, pb.f, pb.apex, pb.p1, pb.p2, n,
-                         po.result, po.h, po.p)
-    _check_trace(trace, instance)
+    trace = RewriteTrace(rule, m, *square, n, po.result, po.h, po.p, polarized)
+    if compose(trace.n_prime, n) != rule.t:
+        raise InvariantError("the mediator does not factor the embedding: n' . n != t")
+    if not is_pullback_square(rule.l, n, m, trace.g, instance):
+        raise InvariantError("the step's left square is not a pullback")
     return trace
 
 
@@ -468,7 +471,9 @@ def _over(items, image, own) -> dict:
 
 def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
     """One polarized-cloning step: the first phase runs over polarized
-    graphs, the pushout over plain graphs."""
+    graphs, the pushout over plain graphs.  ``agree apply`` runs a PSQPO
+    rule through :func:`agree_step` on the embedding :func:`psqpo_rule`
+    materialized; the ``PSQPO_AGREE`` law checks that the two agree."""
     if rule.mode != "PSQPO":
         raise RuleError("psqpo_step needs a rule in PSQPO mode")
     if rule.nplus is None or rule.nminus is None:
@@ -479,24 +484,9 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
     lhat = Morphism(khat, pol_induce(rule.lhs), rule.l.nodemap, rule.l.edgemap)
     mhat = pol_induce(m)
     pb, nhat = _fpbc_phase(lhat, mhat, GRPOL)
-
-    n = pol_forget(nhat)
-    po = pushout_along_mono(n, rule.r, GR)
-    trace = RewriteTrace(
-        rule, m,
-        l_prime=pol_forget(pb.g),
-        m_bar=pol_forget(pb.f),  # equals bar(m, GR)
-        context=pol_forget(pb.apex),
-        g=pol_forget(pb.p1),
-        n_prime=pol_forget(pb.p2),
-        n=n,
-        result=po.result,
-        h=po.h,
-        p=po.p,
-        polarized=PolarizedPhase(khat, lhat, mhat, nhat, pb.p1, pb.p2),
-    )
-    _check_trace(trace, GR)
-    return trace
+    square = tuple(map(pol_forget, (pb.g, pb.f, pb.apex, pb.p1, pb.p2)))  # pol_forget(pb.f) is bar(m, GR)
+    return _second_phase(rule, m, square, pol_forget(nhat), GR,
+                         PolarizedPhase(khat, lhat, mhat, nhat, pb.p1, pb.p2))
 
 
 def strict_complement(m: Morphism, instance: CategoryInstance):

@@ -196,13 +196,17 @@ def small_cone_objects(instance):
 def with_graph_docs(value):
     """``value`` with every graph object in it, inside dicts, lists and
     tuples too, replaced by its ``graph_doc``, and every morphism by its
-    two maps: the document ``dumps`` writes for ``value``."""
+    two maps, read key by key as ``morphism_doc`` reads them: the document
+    ``dumps`` writes for ``value``."""
     if isinstance(value, (Graph, TypedGraph, PolarizedGraph)):
         return graph_doc(value)
     if isinstance(value, Morphism):
-        return {"nodes": dict(value.nodemap), "edges": dict(value.edgemap)}
+        return {key: {k: items[k] for k in items}
+                for key, items in (("nodes", value.nodemap), ("edges", value.edgemap))}
     if isinstance(value, dict):
-        return {key: with_graph_docs(item) for key, item in value.items()}
+        # In key order, the order of the text: of two items that cannot be
+        # written, the one written first raises.
+        return {key: with_graph_docs(value[key]) for key in sorted(value)}
     if isinstance(value, (list, tuple)):
         return type(value)(map(with_graph_docs, value))
     return value

@@ -419,3 +419,86 @@ def test_unreadable_files_are_input_errors(case, argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _fixture(name, **changes):
+    """The fixture document ``name`` with the given top-level fields set,
+    or dropped where the value is ``None``."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+_POLARIZED_POINT = {"nodes": [{"id": "t", "polarity": ["+"]}], "edges": []}
+_POLARITY = {"plus": ["k0"], "minus": []}
+_CHAIN = str(FIXTURES / "chain_graph.json")
+_ANONYMIZE = ["apply", "--rule", str(FIXTURES / "anonymize_rule.json"),
+              "--graph", str(FIXTURES / "network_graph.json"), "--match"]
+
+# Each case is an argv, with the documents in it written to files first, and
+# the error lines it must give.
+REJECTED = {
+    "rule not an object": (["check-rule", "--rule", []], ["/: rule document must be an object"]),
+    "unknown mode": (["check-rule", "--rule", _fixture("clone_node_rule", mode="DPO")],
+                     ["/mode: mode must be AGREE, SQPO or PSQPO, got 'DPO'"]),
+    "no mode": (["check-rule", "--rule", _fixture("clone_node_rule", mode=None)],
+                ["/mode: mode must be AGREE, SQPO or PSQPO, got None"]),
+    "missing field": (["apply", "--rule", _fixture("clone_node_rule", r=None), "--graph", _CHAIN],
+                      ["/r: missing required field"]),
+    "AGREE without embedding": (["check-rule", "--rule", _fixture("web_copy_rule", TK=None, t=None)],
+                                ["/TK: AGREE rules need an explicit embedding",
+                                 "/t: AGREE rules need an explicit embedding"]),
+    "AGREE with polarity": (["check-rule", "--rule", _fixture("web_copy_rule", polarity=_POLARITY)],
+                            ["/polarity: polarity belongs to PSQPO rules"]),
+    "SQPO with polarity": (["apply", "--rule", _fixture("clone_node_rule", polarity=_POLARITY),
+                            "--graph", _CHAIN],
+                           ["/polarity: polarity belongs to PSQPO rules"]),
+    "SQPO with embedding": (["check-rule", "--rule", _fixture("clone_node_rule", TK=_POINT)],
+                            ["/TK: SQPO rules materialize their embedding; drop this field"]),
+    "PSQPO without polarity": (["check-rule", "--rule", _fixture("clone_outgoing_rule", polarity=None)],
+                               ["/polarity: PSQPO rules need a polarity block"]),
+    "PSQPO with type graph": (["check-rule", "--rule",
+                               _fixture("clone_outgoing_rule", typegraph=_fixture("web_copy_rule")["typegraph"])],
+                              ["/typegraph: PSQPO rules live over plain graphs"]),
+    "polarized type graph in a rule": (["check-rule", "--rule", _fixture("web_copy_rule", typegraph=_POLARIZED_POINT)],
+                                       ["/typegraph: the type graph must be a plain graph"]),
+    "plus not an array": (["apply", "--rule", _fixture("clone_outgoing_rule", polarity={"plus": "k0", "minus": ["k1"]}),
+                           "--graph", _CHAIN],
+                          ["/polarity/plus: 'plus' must be an array of interface node ids"]),
+    "minus not an array": (["check-rule", "--rule",
+                            _fixture("clone_outgoing_rule", polarity={"plus": [], "minus": {}})],
+                           ["/polarity/minus: 'minus' must be an array of interface node ids"]),
+    "arrow without source": (["complement", "--m", _fixture("complement_arrow", source=None)],
+                             ["/source: no source graph given or embedded"]),
+    "arrow without target": (["complement", "--m", _fixture("complement_arrow", target=None)],
+                             ["/target: no target graph given or embedded"]),
+    "unknown target node": (["complement", "--m", _fixture("complement_arrow", nodes={"x": "w"})],
+                            ["/nodes/x: unknown target node id 'w'"]),
+    "match onto an unknown node": (["apply", "--rule", str(FIXTURES / "clone_node_rule.json"), "--graph", _CHAIN,
+                                    "--match", _fixture("match_v", nodes={"x": "w"})],
+                                   ["/nodes/x: unknown target node id 'w'"]),
+    "polarized type graph": (["classifier", "--graph", _CHAIN, "--typegraph", _POLARIZED_POINT],
+                             ["/: the type graph must be a plain graph"]),
+    "match not a mono": (_ANONYMIZE + [_fixture("network_match",
+                                                nodes={"x1": "u1", "x2": "u1", "x3": "u3", "x4": "u4"})],
+                         ["/: the given match is not an admissible mono"]),
+    "complement of a non-mono": (["complement", "--m", str(FIXTURES / "clone_l.json")],
+                                 ["/: strict complements are taken of admissible monos"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_documents_name_their_position(case, workdir, capsys):
+    """A document the parser or a command refuses exits 1 with exactly its
+    ``error: <position>: <message>`` lines, and writes nothing else."""
+    tmp, write = workdir
+    argv, errors = REJECTED[case]
+    argv = [arg if isinstance(arg, str) else write(f"doc{i}.json", arg) for i, arg in enumerate(argv)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "".join(f"error: {line}\n" for line in errors)
+    assert captured.out == ""

@@ -1,8 +1,11 @@
 """Object invariants, morphism validation, and the polarity functors."""
 
+import types
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import agree
 from agree import (
     GR,
     GRPOL,
@@ -197,3 +200,21 @@ class TestComposition:
 def test_set_category_is_node_only():
     inst = set_category()
     assert len(inst.typegraph.nodes) == 1 and not inst.typegraph.src
+
+
+SUBMODULES = ("catops", "classifier", "core", "errors", "io", "laws", "rewrite")
+
+
+def test_star_import_binds_no_module():
+    """``from agree import *`` binds every public name of the package but
+    none of its submodules, so the importer's ``io`` stays the standard
+    library's."""
+    namespace = {}
+    exec("from agree import *", namespace)
+    assert [name for name, value in namespace.items()
+            if not name.startswith("__") and isinstance(value, types.ModuleType)] == []
+    public = [name for name in dir(agree) if not name.startswith("_")]
+    assert set(SUBMODULES) <= set(public)
+    # ``cli`` is public too once some test has imported ``agree.cli``.
+    assert agree.__all__ == [name for name in public if name not in SUBMODULES and name != "cli"]
+    assert sorted(name for name in namespace if not name.startswith("__")) == agree.__all__

@@ -34,6 +34,15 @@ def outcome(write, doc):
         return type(exc)
 
 
+def refusal(write):
+    """The type and message of the error ``write()`` raises, or ``None``."""
+    try:
+        write()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 # -- drawn documents -----------------------------------------------------------
 
 _AWKWARD = st.sampled_from(['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f",
@@ -358,9 +367,15 @@ _POINT = Graph.build(["a"])
     [Morphism(None, None, {"a": "x"}, {}), Morphism(None, None, {"a": None}, {})],
     [Morphism(None, None, {1: "x"}, {}), Morphism(None, None, {1: "x", "a": "y"}, {})],
     Morphism(None, None, MappingProxyType({"a": "x"}), {}),
+    Morphism(None, None, [], {}),
+    *[value for f in (Morphism(None, None, ["a"], {}), Morphism(None, None, {"a": "x"}, ["e"]))
+      for value in (f, [f], [Morphism(None, None, {"a": "x"}, {"e": "y"}), f], {"x": f})],
 ])
 def test_hand_written_arrows(value):
     assert outcome(dumps, value) == written(value)
+    # An arrow that cannot be written raises what writing its morphism_doc raises.
+    refusals = [refusal(lambda: dumps(morphism_doc(f))) for f in _objects_in(value, Morphism)]
+    assert refusal(lambda: dumps(value)) == next(filter(None, refusals), None)
 
 
 # -- documents the fixtures and the generator produce -----------------------------

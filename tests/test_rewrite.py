@@ -1,5 +1,8 @@
 """Match enumeration, rewrite steps, complements and locality."""
 
+import json
+import pathlib
+
 import pytest
 
 from agree import (
@@ -25,6 +28,7 @@ from agree import (
     is_local_step,
     is_pullback_square,
     iso_search,
+    pol_induce,
     psqpo_rule,
     psqpo_step,
     pushout_along_mono,
@@ -33,11 +37,19 @@ from agree import (
     strict_complement,
     validate_morphism,
 )
+from agree.io import dumps, export_dot, parse_graph, parse_morphism, parse_rule, trace_doc
 from agree.laws import _Gen
 
 import random
 
 from helpers import naive_monos
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
 FIG_HOST = Graph.build(["a", "v", "b"], {"av": ("a", "v"), "vb": ("v", "b")})
@@ -144,6 +156,51 @@ class TestAgreeStep:
         squash = Morphism(TWO_COPIES, POINT, {"k0": "x", "k1": "x"}, {})
         with pytest.raises(PreconditionError):
             agree_step(rule, squash, GR)
+
+
+class TestRefusals:
+    """Rules and steps the API refuses, each with its error class and message."""
+
+    def test_rule_arrows_must_share_their_source(self):
+        with pytest.raises(RuleError) as caught:
+            agree_rule(CLONE_L, identity(POINT), identity(TWO_COPIES), GR)
+        assert str(caught.value) == "rule arrows must share their source"
+
+    def test_rule_arrows_must_be_valid(self):
+        with pytest.raises(RuleError) as caught:
+            sqpo_rule(Morphism(TWO_COPIES, POINT, {"k0": "x"}, {}), identity(TWO_COPIES), GR)
+        assert str(caught.value) == \
+            "rule arrow l is not a valid morphism: ('nodemap is not total on the source nodes',)"
+        with pytest.raises(RuleError) as caught:
+            psqpo_rule(CLONE_L, Morphism(TWO_COPIES, TWO_COPIES, {"k1": "k1"}, {}), ["k0"], ["k1"])
+        assert str(caught.value) == \
+            "rule arrow r is not a valid morphism: ('nodemap is not total on the source nodes',)"
+
+    def test_rule_embedding_must_be_an_admissible_mono(self):
+        with pytest.raises(RuleError) as caught:
+            agree_rule(CLONE_L, identity(TWO_COPIES), CLONE_L, GR)
+        assert str(caught.value) == "rule embedding must be an admissible mono"
+
+    def test_polarized_rules_need_a_plain_interface(self):
+        k = pol_induce(TWO_COPIES)
+        with pytest.raises(RuleError) as caught:
+            psqpo_rule(Morphism(k, pol_induce(POINT), CLONE_L.nodemap, {}), identity(k), ["k0"], ["k0"])
+        assert str(caught.value) == "polarized rules live over plain graphs"
+
+    def test_match_must_start_at_the_left_hand_side(self):
+        elsewhere = Morphism(Graph.build(["y"]), FIG_HOST, {"y": "v"}, {})
+        with pytest.raises(PreconditionError) as caught:
+            agree_step(clone_rule(), elsewhere, GR)
+        assert str(caught.value) == "match must start at the rule's left-hand side"
+        with pytest.raises(PreconditionError) as caught:
+            psqpo_step(outgoing_clone_rule(), elsewhere)
+        assert str(caught.value) == "match must start at the rule's left-hand side"
+
+    def test_agree_step_refuses_polarized_graphs(self):
+        point = pol_induce(POINT)
+        with pytest.raises(PreconditionError) as caught:
+            agree_step(sqpo_rule(identity(point), identity(point), GRPOL), pol_induce(MATCH_V), GRPOL)
+        assert str(caught.value) == "polarized rewriting goes through psqpo_step"
 
 
 class TestFpbc:
@@ -278,6 +335,35 @@ class TestPsqpo:
     def test_mode_is_checked(self):
         with pytest.raises(RuleError):
             psqpo_step(clone_rule(), MATCH_V)
+
+    def test_agree_step_gives_what_psqpo_step_gives(self):
+        """``agree apply`` runs a PSQPO rule through ``agree_step`` on the
+        embedding ``psqpo_rule`` materialized.  Its H, trace and DOT text
+        are those of the polarized construction, and so is the insertion
+        order of D's edges and of both maps of every trace arrow."""
+        rule, _ = parse_rule(_fixture("clone_outgoing_rule"))
+        host = parse_graph(_fixture("chain_graph"))
+        cases = [(rule, parse_morphism(_fixture("match_v"), source=rule.lhs, target=host))]
+        for bound, draws in (((3, 3), 100), ((4, 5), 100), ((5, 7), 100)):
+            gen = _Gen(random.Random(f"psqpo/one-path/{bound}"), bound, GR)
+            for _ in range(draws):
+                rule = gen.psqpo_rule()
+                extra = gen.rng.randint(0, 6), gen.rng.randint(0, 12)
+                cases.append((rule, gen.match_onto(rule.lhs, extra_nodes=extra[0], extra_edges=extra[1])))
+        assert sum(len(carrier(m.target).nodes) > len(carrier(m.source).nodes) for _, m in cases) > 200
+        for rule, m in cases:
+            polar, plain = psqpo_step(rule, m), agree_step(rule, m, GR)
+            assert dumps(plain.result) == dumps(polar.result)
+            assert dumps(trace_doc(plain)) == dumps(trace_doc(polar))
+            assert export_dot(plain) == export_dot(polar)
+            d_plain, d_polar = carrier(plain.context), carrier(polar.context)
+            assert list(d_plain.src.items()) == list(d_polar.src.items())
+            assert list(d_plain.tgt.items()) == list(d_polar.tgt.items())
+            arrows = zip(trace_doc(plain)["arrows"].items(), trace_doc(polar)["arrows"].items())
+            for (name, f), (polar_name, g) in arrows:
+                assert name == polar_name
+                assert list(f.nodemap.items()) == list(g.nodemap.items()), name
+                assert list(f.edgemap.items()) == list(g.edgemap.items()), name
 
 
 class TestStrictComplement:
