@@ -15,7 +15,6 @@ from .core import (
     MorphismReport,
     PolarizedGraph,
     TypedGraph,
-    carrier,
     compose,
     identity,
     pol_forget,

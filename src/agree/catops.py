@@ -17,7 +17,6 @@ from .core import (
     CategoryInstance,
     Graph,
     Morphism,
-    carrier,
     compose,
     require_object,
     validate_morphism,
@@ -72,7 +71,7 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
         raise PreconditionError("pullback needs a cospan: the two arrows must share their target")
     require_object(f.source, instance)
     require_object(g.source, instance)
-    gx, gy = carrier(f.source), carrier(g.source)
+    gx, gy = f.source, g.source
 
     node_x, node_y, node_names = _join(gx.nodes, gy.nodes, f.nodemap, g.nodemap)
     edge_x, edge_y, edge_names = _join(gx.src, gy.src, f.edgemap, g.edgemap)
@@ -86,10 +85,11 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     xsrc, xtgt, ysrc, ytgt = gx.src, gx.tgt, gy.src, gy.tgt
     src = {eid: node_of[f"({xsrc[e]},{ysrc[d]})"] for eid, e, d in zip(edge_names, edge_x, edge_y)}
     tgt = {eid: node_of[f"({xtgt[e]},{ytgt[d]})"] for eid, e, d in zip(edge_names, edge_x, edge_y)}
-    apex = instance.make(
-        Graph(nodes, src, tgt),
-        _meets(instance, f.source.node_labels, g.source.node_labels, node_x, node_y, node_names),
-        _meets(instance, f.source.edge_labels, g.source.edge_labels, edge_x, edge_y, edge_names),
+    apex = Graph(
+        nodes, src, tgt,
+        _meets(instance, gx.node_labels, gy.node_labels, node_x, node_y, node_names),
+        _meets(instance, gx.edge_labels, gy.edge_labels, edge_x, edge_y, edge_names),
+        instance.typegraph,
     )
 
     p1, p1_report = _checked(instance, apex, f.source,
@@ -138,7 +138,7 @@ def pullback_mediator(pb: Pullback, v: Morphism, w: Morphism) -> Morphism:
         raise PreconditionError("cone does not commute with the cospan")
     nodemap = {x: _pair(v.nodemap[x], w.nodemap[x]) for x in v.nodemap}
     edgemap = {e: _pair(v.edgemap[e], w.edgemap[e]) for e in v.edgemap}
-    apex = carrier(pb.apex)
+    apex = pb.apex
     if not (apex.nodes.issuperset(nodemap.values()) and apex.src.keys() >= set(edgemap.values())):
         raise InvariantError("the mediator leaves the pullback's apex")
     return Morphism(v.source, pb.apex, nodemap, edgemap)
@@ -165,7 +165,7 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
     rep = validate_morphism(r, instance)
     if not rep.valid:
         raise PreconditionError(f"pushout requires a valid second leg: {rep.problems}")
-    gd, gr_ = carrier(n.target), carrier(r.target)
+    gd, gr_ = n.target, r.target
 
     # Every item is named once: D's items as ``D:`` items, then the glued
     # ones renamed after their right-hand-side images, in place.
@@ -184,10 +184,11 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
     rsrc, rtgt = gr_.src, gr_.tgt
     src.update({p_edges[d]: p_nodes[rsrc[d]] for d in rsrc})
     tgt.update({p_edges[d]: p_nodes[rtgt[d]] for d in rsrc})
-    result = instance.make(
-        Graph(frozenset(h_nodes.values()).union(p_nodes.values()), src, tgt),
-        _glued(n.target.node_labels, r.target.node_labels, h_nodes, p_nodes),
-        _glued(n.target.edge_labels, r.target.edge_labels, h_edges, p_edges),
+    result = Graph(
+        frozenset(h_nodes.values()).union(p_nodes.values()), src, tgt,
+        _glued(gd.node_labels, gr_.node_labels, h_nodes, p_nodes),
+        _glued(gd.edge_labels, gr_.edge_labels, h_edges, p_edges),
+        instance.typegraph,
     )
 
     h, _ = _checked(instance, n.target, result, h_nodes, h_edges)
@@ -324,8 +325,8 @@ def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterat
 def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
     """The search from ``obj_x`` into a fresh index of ``obj_y``, built on the
     first ``next``, as morphisms."""
-    host = _host_index(carrier(obj_y), obj_y.node_labels, obj_y.edge_labels)
-    for nodemap, edgemap in _search(host, carrier(obj_x), obj_x.node_labels, obj_x.edge_labels,
+    host = _host_index(obj_y, obj_y.node_labels, obj_y.edge_labels)
+    for nodemap, edgemap in _search(host, obj_x, obj_x.node_labels, obj_x.edge_labels,
                                     injective=injective, order=order):
         yield Morphism(obj_x, obj_y, nodemap, edgemap)
 
@@ -352,8 +353,7 @@ def iso_search(x, y, instance: CategoryInstance) -> Optional[Morphism]:
     """
     require_object(x, instance)
     require_object(y, instance)
-    gx, gy = carrier(x), carrier(y)
-    if len(gx.nodes) != len(gy.nodes) or len(gx.src) != len(gy.src):
+    if len(x.nodes) != len(y.nodes) or len(x.src) != len(y.src):
         return None
     if x.node_labels is not None and Counter(x.node_labels.values()) != Counter(y.node_labels.values()):
         return None

@@ -20,7 +20,6 @@ from .core import (
     CategoryInstance,
     Graph,
     Morphism,
-    carrier,
     compose,
     derived,
     identity,
@@ -70,15 +69,14 @@ def _absorb(instance: CategoryInstance, obj, mark: str, nodemap: dict, edgemap: 
     """Extend a partial map out of ``obj``: every unmapped node goes to the
     star above its label, every unmapped edge to the star edge between the
     images of its ends (star ids start with ``mark``)."""
-    g = carrier(obj)
     labels = obj.node_labels
     if labels is None:
-        nodes = dict.fromkeys(g.nodes, mark + instance.star(None))
+        nodes = dict.fromkeys(obj.nodes, mark + instance.star(None))
     else:
         star = {label: mark + instance.star(label) for label in set(labels.values())}
         nodes = {x: star[label] for x, label in labels.items()}
     nodes.update(nodemap)
-    src, tgt = g.src, g.tgt
+    src, tgt = obj.src, obj.tgt
     edge_labels = obj.edge_labels
     # Each distinct star edge id is built once, and looked up by its ends
     # (and label) for every further edge absorbed into it.
@@ -102,13 +100,16 @@ def final_object(instance: CategoryInstance):
     """One node per maximal label and every allowed edge between them."""
     nodes = _star_nodes(instance, "1")
     ends = _allowed_edges(instance, nodes, "1")
-    graph = Graph(frozenset(nodes), {e: n for e, (n, _, _) in ends.items()},
-                  {e: p for e, (_, p, _) in ends.items()})
-    return instance.make(graph, nodes, {e: label for e, (_, _, label) in ends.items()})
+    empty = instance.empty  # its label columns are the setting's
+    return Graph(frozenset(nodes), {e: n for e, (n, _, _) in ends.items()},
+                 {e: p for e, (_, p, _) in ends.items()},
+                 None if empty.node_labels is None else nodes,
+                 None if empty.edge_labels is None else {e: label for e, (_, _, label) in ends.items()},
+                 instance.typegraph)
 
 
 def initial_object(instance: CategoryInstance):
-    return instance.make(Graph.build(), {}, {})
+    return instance.empty
 
 
 def bang(x, instance: CategoryInstance) -> Morphism:
@@ -169,16 +170,17 @@ def _enlarge(y, instance: CategoryInstance) -> tuple:
     ``y``: the total object, the unit's two maps and the star index.  Kept
     on ``y``, it makes no reference cycle, so ``y`` is freed as soon as it
     is dropped."""
-    g = carrier(y)
     stars = _star_nodes(instance, "*")
-    _refuse_reserved("node", stars.keys() & g.nodes)
-    node_labels = dict.fromkeys(g.nodes) if y.node_labels is None else dict(y.node_labels)
-    node_labels.update(stars)
+    _refuse_reserved("node", stars.keys() & y.nodes)
+    nodes = y.nodes.union(stars)
+    own = y.node_labels or {}
+    # In node order, the order of an unlabelled graph's maps.
+    node_labels = {n: stars[n] if n in stars else own.get(n) for n in nodes}
     ends = _allowed_edges(instance, node_labels, "*")
-    _refuse_reserved("edge", ends.keys() & g.edges)
+    _refuse_reserved("edge", ends.keys() & y.edges)
 
-    src = dict(g.src)
-    tgt = dict(g.tgt)
+    src = dict(y.src)
+    tgt = dict(y.tgt)
     for eid, (n, p, _) in ends.items():
         src[eid] = n
         tgt[eid] = p
@@ -186,9 +188,9 @@ def _enlarge(y, instance: CategoryInstance) -> tuple:
     if y.edge_labels is not None:
         edge_labels = dict(y.edge_labels)
         edge_labels.update({eid: label for eid, (_, _, label) in ends.items()})
-    total = instance.make(Graph(g.nodes.union(stars), src, tgt), node_labels, edge_labels)
+    total = Graph(nodes, src, tgt, None if y.node_labels is None else node_labels, edge_labels, instance.typegraph)
 
-    unit = Morphism(y, total, {n: n for n in g.nodes}, {e: e for e in g.src})
+    unit = Morphism(y, total, {n: n for n in y.nodes}, {e: e for e in y.src})
     if not validate_morphism(unit, instance).is_mono_in_M:
         raise InvariantError("the unit of an enlargement must be an admissible mono")
     return total, unit.nodemap, unit.edgemap, frozenset(stars), frozenset(ends), ends

@@ -16,7 +16,7 @@ from itertools import islice
 from . import io as docio
 from .catops import enumerate_monos
 from .classifier import t_object
-from .core import GR, GRPOL, Graph, PolarizedGraph, typed_over, validate_morphism
+from .core import GR, GRPOL, belongs, typed_over, validate_morphism
 from .errors import DocumentError, GraphError
 from .laws import LAW_IDS, LAWS, default_instance, run_law
 from .rewrite import (
@@ -67,7 +67,7 @@ def _typegraph(path):
     if not path:
         return None
     tg = docio.parse_graph(_load(path))
-    if not isinstance(tg, Graph):
+    if not belongs(tg, GR):
         raise DocumentError([("/", "the type graph must be a plain graph")])
     return tg
 
@@ -77,7 +77,7 @@ def _instance(obj, typegraph):
     there is one, else polarized or plain as the parser chose."""
     if typegraph is not None:
         return typed_over(typegraph)
-    return GRPOL if isinstance(obj, PolarizedGraph) else GR
+    return GRPOL if obj.kind == "grpol" else GR
 
 
 def _rule_and_graph(args):

@@ -1,21 +1,28 @@
-"""Finite graphs, typed graphs and polarized graphs, with checked morphisms.
+"""Graphs in three settings, with checked morphisms.
 
-Directed multigraphs over opaque string ids are the base objects.  The two
-other settings label their items: a typed graph labels every node and edge
-with its type in a fixed type graph; a polarized graph labels every node
-with its capabilities, a subset of ``{"+", "-"}`` (only nodes with ``+``
-may have outgoing edges, only nodes with ``-`` incoming ones).  Every object
-exposes ``node_labels`` and ``edge_labels``, each ``None`` where the setting
-leaves those items unlabelled.
+Directed multigraphs over opaque string ids are the objects of every
+setting, all of one class, :class:`Graph`.  Its label columns,
+``node_labels`` and ``edge_labels``, say which setting a graph is in:
+
+- a plain graph leaves its items unlabelled: both columns are ``None``;
+- a graph typed over a type graph labels every node and edge with its
+  type, an item of its ``typegraph``, so that the labels form a
+  homomorphism into the type graph;
+- a polarized graph labels every node with its capabilities, a subset of
+  ``{"+", "-"}`` (only nodes with ``+`` may have outgoing edges, only nodes
+  with ``-`` incoming ones), and leaves its edges unlabelled.
+
+The constructor checks the invariant of the graph's setting.
+:func:`TypedGraph` and :func:`PolarizedGraph` build the labelled graphs
+from a typing arrow, or from the nodes that have each capability.
 
 A :class:`CategoryInstance` selects a setting and holds the only
 per-setting knowledge the constructions use, a small table: the order on
-labels and their meet, a constructor from a graph and its labels, the star
-nodes of the enlargement, and the edge labels allowed between two node
-labels.  From it, a morphism is valid when it is a homomorphism that
-sends every label to one above it; it is an admissible mono when it is
-injective and label-preserving, and an iso when it is bijective and
-label-preserving.
+labels and their meet, the empty object, the star nodes of the
+enlargement, and the edge labels allowed between two node labels.  From
+it, a morphism is valid when it is a homomorphism that sends every label
+to one above it; it is an admissible mono when it is injective and
+label-preserving, and an iso when it is bijective and label-preserving.
 
 Values hold plain ``dict``s, so they are not hashable; every function here
 treats them as read-only, and callers must not mutate them after
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import PreconditionError, StructuralError
 
@@ -45,7 +52,6 @@ __all__ = [
     "GRPOL",
     "typed_over",
     "set_category",
-    "carrier",
     "derived",
     "belongs",
     "require_object",
@@ -60,26 +66,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite directed multigraph: node ids, edge ids, endpoint maps."""
+    """A finite directed multigraph: node ids, edge ids, endpoint maps, and
+    the label columns of its setting, with the type graph of a typed one."""
 
     nodes: frozenset
     src: dict
     tgt: dict
-
-    node_labels = None
-    edge_labels = None
+    node_labels: Optional[dict] = None
+    edge_labels: Optional[dict] = None
+    typegraph: Optional[Graph] = None
 
     def __post_init__(self):
-        if self.src.keys() != self.tgt.keys():
+        nodes, src, tgt = self.nodes, self.src, self.tgt
+        if src.keys() != tgt.keys():
             raise StructuralError("src and tgt must be defined on the same edge set")
-        if not (self.nodes.issuperset(self.src.values()) and self.nodes.issuperset(self.tgt.values())):
-            for e, n in list(self.src.items()) + list(self.tgt.items()):
-                if n not in self.nodes:
+        if not (nodes.issuperset(src.values()) and nodes.issuperset(tgt.values())):
+            for e, n in list(src.items()) + list(tgt.items()):
+                if n not in nodes:
                     raise StructuralError(f"edge {e!r} has dangling endpoint {n!r}")
+        if self.typegraph is not None:
+            _check_types(self)
+        elif self.edge_labels is not None:
+            raise StructuralError("edge labels need a type graph")
+        elif self.node_labels is not None:
+            _check_capabilities(self)
 
     @classmethod
-    def build(cls, nodes: Iterable[str] = (), edges: Optional[Mapping[str, tuple]] = None) -> "Graph":
-        """Build a graph from a node list and an ``{edge: (src, tgt)}`` mapping."""
+    def build(cls, nodes: Iterable[str] = (), edges: Optional[Mapping[str, tuple]] = None,
+              node_labels: Optional[dict] = None, edge_labels: Optional[dict] = None,
+              typegraph: Optional[Graph] = None) -> Graph:
+        """Build a graph from a node list and an ``{edge: (src, tgt)}`` mapping,
+        with the label columns of its setting."""
         nodes = list(nodes)
         if len(set(nodes)) != len(nodes):
             raise StructuralError("duplicate node id")
@@ -88,74 +105,83 @@ class Graph:
             frozenset(nodes),
             {e: st[0] for e, st in edges.items()},
             {e: st[1] for e, st in edges.items()},
+            node_labels, edge_labels, typegraph,
         )
 
     @property
     def edges(self) -> frozenset:
         return frozenset(self.src)
 
+    @property
+    def kind(self) -> str:
+        """The setting, named as :class:`CategoryInstance` names it."""
+        if self.typegraph is not None:
+            return "typed"
+        return "gr" if self.node_labels is None else "grpol"
+
     def ends(self, e: str) -> tuple:
         return (self.src[e], self.tgt[e])
 
 
-@dataclass(frozen=True)
-class TypedGraph:
-    """A graph together with a typing morphism into a fixed type graph."""
-
-    graph: Graph
-    typegraph: Graph
-    typing: "Morphism"
-
-    def __post_init__(self):
-        if self.typing.source != self.graph:
-            raise StructuralError("typing must start at the carrier graph")
-        if self.typing.target != self.typegraph:
-            raise StructuralError("typing must land in the type graph")
-        rep = validate_morphism(self.typing, GR)
-        if not rep.valid:
-            raise StructuralError(f"typing is not a graph morphism: {rep.problems[0]}")
-
-    @property
-    def node_labels(self) -> dict:
-        return self.typing.nodemap
-
-    @property
-    def edge_labels(self) -> dict:
-        return self.typing.edgemap
+def _check_total(labels, items, item: str):
+    if labels is None or labels.keys() != items:
+        raise StructuralError(f"the {item} labels must be defined on exactly the {item}s")
 
 
-@dataclass(frozen=True)
-class PolarizedGraph:
-    """A graph whose edges are bounded by node capabilities ``nplus``/``nminus``."""
+def _check_types(g: Graph):
+    """Every item typed by an item of the type graph, every edge by a type
+    that runs between the types of its ends."""
+    node_types, edge_types, tg = g.node_labels, g.edge_labels, g.typegraph
+    _check_total(node_types, g.nodes, "node")
+    _check_total(edge_types, g.src.keys(), "edge")
+    if not tg.nodes.issuperset(node_types.values()):
+        x = next(x for x, t in node_types.items() if t not in tg.nodes)
+        raise StructuralError(f"node {x!r} has unknown type {node_types[x]!r}")
+    src, tgt, type_src, type_tgt = g.src, g.tgt, tg.src, tg.tgt
+    for e, t in edge_types.items():
+        if t not in type_src:
+            raise StructuralError(f"edge {e!r} has unknown type {t!r}")
+        if type_src[t] != node_types[src[e]] or type_tgt[t] != node_types[tgt[e]]:
+            raise StructuralError(f"edge {e!r} type {t!r} does not match its endpoint types")
 
-    graph: Graph
-    nplus: frozenset
-    nminus: frozenset
 
-    edge_labels = None
-
-    def __post_init__(self):
-        if not self.nplus <= self.graph.nodes or not self.nminus <= self.graph.nodes:
-            raise StructuralError("polarity sets must be subsets of the node set")
-        g = self.graph
-        if not (self.nplus.issuperset(g.src.values()) and self.nminus.issuperset(g.tgt.values())):
-            for e in g.src:  # only to word the error: the first edge that lacks support
-                if g.src[e] not in self.nplus:
-                    raise StructuralError(f"edge {e!r} leaves node {g.src[e]!r} without + polarity")
-                if g.tgt[e] not in self.nminus:
-                    raise StructuralError(f"edge {e!r} enters node {g.tgt[e]!r} without - polarity")
-        # Not a field: equality and the constructor only see nplus/nminus.
-        object.__setattr__(self, "node_labels", {
-            n: _CAPABILITIES[n in self.nplus, n in self.nminus] for n in self.graph.nodes})
+def _check_capabilities(g: Graph):
+    """Every node labelled by a set of capabilities, every edge leaving a
+    ``+`` node and entering a ``-`` node."""
+    caps = g.node_labels
+    _check_total(caps, g.nodes, "node")
+    if not _CAPABILITY_SETS.issuperset(caps.values()):
+        x = next(x for x, label in caps.items() if label not in _CAPABILITY_SETS)
+        raise StructuralError(f"node {x!r} has label {caps[x]!r}, not a set of capabilities")
+    src, tgt = g.src, g.tgt
+    if not ({n for n, c in caps.items() if "+" not in c}.isdisjoint(src.values())
+            and {n for n, c in caps.items() if "-" not in c}.isdisjoint(tgt.values())):
+        for e in src:  # only to word the error: the first edge that lacks support
+            if "+" not in caps[src[e]]:
+                raise StructuralError(f"edge {e!r} leaves node {src[e]!r} without + polarity")
+            if "-" not in caps[tgt[e]]:
+                raise StructuralError(f"edge {e!r} enters node {tgt[e]!r} without - polarity")
 
 
 # A polarized node's label: the set of its capabilities, listed as
 # ``below`` gives them: none, -, +, both.
 _CAPABILITIES = {(p, m): frozenset(c for c, has in (("+", p), ("-", m)) if has)
                  for p in (False, True) for m in (False, True)}
+_CAPABILITY_SETS = frozenset(_CAPABILITIES.values())
 
 
-Object = Union[Graph, TypedGraph, PolarizedGraph]
+def TypedGraph(graph: Graph, typegraph: Graph, typing: Morphism) -> Graph:
+    """``graph`` typed over ``typegraph`` by the two maps of ``typing``."""
+    return Graph(graph.nodes, graph.src, graph.tgt, typing.nodemap, typing.edgemap, typegraph)
+
+
+def PolarizedGraph(graph: Graph, nplus, nminus) -> Graph:
+    """``graph`` polarized: the nodes in ``nplus`` may have outgoing edges,
+    those in ``nminus`` incoming ones."""
+    if not (graph.nodes.issuperset(nplus) and graph.nodes.issuperset(nminus)):
+        raise StructuralError("polarity sets must be subsets of the node set")
+    return Graph(graph.nodes, graph.src, graph.tgt,
+                 {n: _CAPABILITIES[n in nplus, n in nminus] for n in graph.nodes})
 
 
 @dataclass(frozen=True)
@@ -189,15 +215,6 @@ def derived(value, name: str, build: Callable, *args):
     return fact
 
 
-def carrier(obj: Object) -> Graph:
-    """The underlying plain graph of any of the three object kinds."""
-    if isinstance(obj, Graph):
-        return obj
-    if isinstance(obj, (TypedGraph, PolarizedGraph)):
-        return obj.graph
-    raise PreconditionError(f"not a graph object: {obj!r}")
-
-
 @dataclass(frozen=True)
 class CategoryInstance:
     """One of the three settings, with the table every construction reads.
@@ -209,8 +226,8 @@ class CategoryInstance:
       capability sets.
     - ``meet(a, b)``: the label of a pullback item whose components are
       labelled ``a`` and ``b``.
-    - ``make(graph, node_labels, edge_labels)``: the object of this setting
-      with that carrier and those labels.
+    - ``empty``: the empty object, initial in this setting; its label
+      columns are those every object of the setting carries.
     - ``stars``: ``{id suffix: label}``, one star node per maximal label;
       enlargements name them ``*<suffix>``.
     - ``edge_labels_between(a, b)``: the labels an edge from a node
@@ -229,7 +246,7 @@ class CategoryInstance:
     typegraph: Optional[Graph] = None
     leq: Callable = field(init=False, repr=False, compare=False)
     meet: Callable = field(init=False, repr=False, compare=False)
-    make: Callable = field(init=False, repr=False, compare=False)
+    empty: Graph = field(init=False, repr=False, compare=False)
     stars: dict = field(init=False, repr=False, compare=False)
     edge_labels_between: Callable = field(init=False, repr=False, compare=False)
     below: Callable = field(init=False, repr=False, compare=False)
@@ -240,23 +257,22 @@ class CategoryInstance:
         if (self.kind == "typed") != (self.typegraph is not None):
             raise PreconditionError("typed instances need a type graph, others must not have one")
         if self.kind == "gr":
-            table = (operator.eq, _first, _plain, {"": None}, lambda a, b: _UNLABELLED,
-                     lambda a: _UNLABELLED)
+            table = (operator.eq, _first, Graph(frozenset(), {}, {}), {"": None},
+                     lambda a, b: _UNLABELLED, lambda a: _UNLABELLED)
         elif self.kind == "typed":
             tg = self.typegraph
             between = {}
             for et in sorted(tg.src):
                 between.setdefault((tg.src[et], tg.tgt[et]), []).append(et)
-            table = (operator.eq, _first,
-                     lambda graph, nl, el: TypedGraph(graph, tg, Morphism(graph, tg, nl, el)),
+            table = (operator.eq, _first, Graph(frozenset(), {}, {}, {}, {}, tg),
                      {f":{t}": t for t in sorted(tg.nodes)},
                      lambda a, b: between.get((a, b), ()),
                      lambda a: (a,))
         else:
-            table = (operator.le, operator.and_, _polarized, {"": _CAPABILITIES[True, True]},
+            table = (operator.le, operator.and_, Graph(frozenset(), {}, {}, {}), {"": _CAPABILITIES[True, True]},
                      lambda a, b: _UNLABELLED if "+" in a and "-" in b else (),
                      lambda a: [caps for caps in _CAPABILITIES.values() if caps <= a])
-        for name, value in zip(("leq", "meet", "make", "stars", "edge_labels_between", "below"), table):
+        for name, value in zip(("leq", "meet", "empty", "stars", "edge_labels_between", "below"), table):
             object.__setattr__(self, name, value)
 
     def star(self, label) -> str:
@@ -269,15 +285,6 @@ _UNLABELLED = (None,)
 
 def _first(a, b):
     return a
-
-
-def _plain(graph, node_labels, edge_labels):
-    return graph
-
-
-def _polarized(graph, node_labels, edge_labels):
-    return PolarizedGraph(graph, frozenset(n for n, caps in node_labels.items() if "+" in caps),
-                          frozenset(n for n, caps in node_labels.items() if "-" in caps))
 
 
 GR = CategoryInstance("gr")
@@ -295,22 +302,22 @@ def set_category() -> CategoryInstance:
 
 
 def belongs(obj, instance: CategoryInstance) -> bool:
-    if instance.kind == "gr":
-        return isinstance(obj, Graph)
-    if instance.kind == "typed":
-        return isinstance(obj, TypedGraph) and obj.typegraph == instance.typegraph
-    return isinstance(obj, PolarizedGraph)
+    return isinstance(obj, Graph) and obj.kind == instance.kind and obj.typegraph == instance.typegraph
+
+
+# How refusals name a graph of each setting.
+_SETTING_NAMES = {"gr": "Graph", "typed": "TypedGraph", "grpol": "PolarizedGraph"}
 
 
 def require_object(obj, instance: CategoryInstance):
     if not belongs(obj, instance):
-        raise PreconditionError(f"object {type(obj).__name__} does not belong to instance {instance.kind!r}")
+        name = _SETTING_NAMES[obj.kind] if isinstance(obj, Graph) else type(obj).__name__
+        raise PreconditionError(f"object {name} does not belong to instance {instance.kind!r}")
     return obj
 
 
-def identity(obj: Object) -> Morphism:
-    g = carrier(obj)
-    return Morphism(obj, obj, {n: n for n in g.nodes}, {e: e for e in g.src})
+def identity(obj: Graph) -> Morphism:
+    return Morphism(obj, obj, {n: n for n in obj.nodes}, {e: e for e in obj.src})
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -334,7 +341,7 @@ class MorphismReport:
 
 
 def _structural_check(f: Morphism):
-    sg, tg = carrier(f.source), carrier(f.target)
+    sg, tg = f.source, f.target
     for x in f.nodemap:
         if x not in sg.nodes:
             raise StructuralError(f"nodemap mentions unknown source node {x!r}")
@@ -390,7 +397,7 @@ def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport
 def _report(f: Morphism, leq) -> MorphismReport:
     """The report of ``f``, computed in one pass over its map entries that
     also checks them; a dangling entry is worded by :func:`_structural_check`."""
-    sg, tg = carrier(f.source), carrier(f.target)
+    sg, tg = f.source, f.target
     nodemap, edgemap = f.nodemap, f.edgemap
 
     problems = []
@@ -436,26 +443,26 @@ def _report(f: Morphism, leq) -> MorphismReport:
 
 def pol_forget(x):
     """Drop polarity: polarized graphs/morphisms to plain ones."""
-    if isinstance(x, PolarizedGraph):
-        return x.graph
     if isinstance(x, Morphism):
         return Morphism(pol_forget(x.source), pol_forget(x.target), x.nodemap, x.edgemap)
-    raise PreconditionError("pol_forget expects a polarized graph or morphism")
+    if not belongs(x, GRPOL):
+        raise PreconditionError("pol_forget expects a polarized graph or morphism")
+    return Graph(x.nodes, x.src, x.tgt)
 
 
 def pol_induce(x):
     """Give every node both capabilities; on morphisms this is strict."""
-    if isinstance(x, Graph):
-        return PolarizedGraph(x, x.nodes, x.nodes)
     if isinstance(x, Morphism):
         return Morphism(pol_induce(x.source), pol_induce(x.target), x.nodemap, x.edgemap)
-    raise PreconditionError("pol_induce expects a plain graph or morphism")
+    if not belongs(x, GR):
+        raise PreconditionError("pol_induce expects a plain graph or morphism")
+    return Graph(x.nodes, x.src, x.tgt, dict.fromkeys(x.nodes, _CAPABILITIES[True, True]))
 
 
 def pol_minimal(x):
     """The least polarity supporting the edges: + where an edge leaves, - where one enters."""
-    if isinstance(x, Graph):
-        return PolarizedGraph(x, frozenset(x.src.values()), frozenset(x.tgt.values()))
     if isinstance(x, Morphism):
         return Morphism(pol_minimal(x.source), pol_minimal(x.target), x.nodemap, x.edgemap)
-    raise PreconditionError("pol_minimal expects a plain graph or morphism")
+    if not belongs(x, GR):
+        raise PreconditionError("pol_minimal expects a plain graph or morphism")
+    return PolarizedGraph(x, frozenset(x.src.values()), frozenset(x.tgt.values()))

@@ -9,20 +9,11 @@ invariant, not just the first one.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import attrgetter, contains, itemgetter, methodcaller
 from typing import Optional
 
-from .core import (
-    GR,
-    CategoryInstance,
-    Graph,
-    Morphism,
-    PolarizedGraph,
-    TypedGraph,
-    carrier,
-    typed_over,
-)
+from .core import GR, CategoryInstance, Graph, Morphism, belongs, typed_over
 from .errors import DocumentError, StructuralError
 from .rewrite import Rule, RewriteTrace, agree_rule, psqpo_rule, sqpo_rule
 
@@ -91,7 +82,7 @@ def _write(value, newline: str, out: list):
                 _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, _GRAPHS) and (text := _graph_text(value, newline)) is not None:
+    elif isinstance(value, Graph) and (text := _graph_text(value, newline)) is not None:
         out.append(text)
     elif (isinstance(value, Morphism) and (layout := _arrow_layout(value, newline))
           and (text := _arrow_text(value, layout)) is not None):
@@ -103,13 +94,10 @@ def _write(value, newline: str, out: list):
         out.append(text.replace("\n", newline))
 
 
-_GRAPHS = (Graph, TypedGraph, PolarizedGraph)
-
-
 def _graph_default(value):
     """``json``'s ``default`` for :func:`_write`: a graph object's or a
     morphism's document; any other value is refused as ``json`` refuses it."""
-    if isinstance(value, _GRAPHS):
+    if isinstance(value, Graph):
         return graph_doc(value)
     if isinstance(value, Morphism):
         return morphism_doc(value)
@@ -193,11 +181,10 @@ def _graph_text(obj, newline: str) -> Optional[str]:
     id refuses too.  Labels are tested as :func:`graph_doc` chooses their
     field: types to be ``str``, capability sets to have a polarity.
     """
-    g = carrier(obj)
-    src, tgt = g.src, g.tgt
-    if not (_strings(g.nodes) and _strings(src)):
+    src, tgt = obj.src, obj.tgt
+    if not (_strings(obj.nodes) and _strings(src)):
         return None
-    nids, eids = sorted(g.nodes), sorted(src)
+    nids, eids = sorted(obj.nodes), sorted(src)
     inner = newline + "  "
     key_line = inner + "    "
     node_texts = list(map(_encode_str, nids))
@@ -236,14 +223,13 @@ def _graph_text(obj, newline: str) -> Optional[str]:
 
 
 def graph_doc(obj) -> dict:
-    """Serialize any of the three object kinds to a GraphDoc.
+    """Serialize a graph of any setting to a GraphDoc.
 
     A label map holds labels of one kind, so its first label chooses the
     field for all its entries: a type is a name, polarity a list of
     capabilities."""
-    g = carrier(obj)
-    nodes = [{"id": n} for n in sorted(g.nodes)]
-    src, tgt = g.src, g.tgt
+    nodes = [{"id": n} for n in sorted(obj.nodes)]
+    src, tgt = obj.src, obj.tgt
     edges = [{"id": e, "src": src[e], "tgt": tgt[e]} for e in sorted(src)]
     for entries, labels in ((nodes, obj.node_labels), (edges, obj.edge_labels)):
         if not labels:
@@ -259,24 +245,27 @@ def graph_doc(obj) -> dict:
 
 # The polarity field of each capability set.
 _POLARITY = {frozenset(caps): list(caps) for caps in ("", "-", "+", "+-")}
+# One object per capability set, shared by every parsed node that has it.
+_CAPABILITIES = {caps: caps for caps in _POLARITY}
 
 
-def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
+def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = "", polarized: bool = False) -> Graph:
     """Parse a GraphDoc.
 
-    With ``typegraph`` the result is a typed graph; otherwise the presence
-    of any ``polarity`` key selects a polarized graph, else a plain one.
+    With ``typegraph`` the result is a typed graph; otherwise ``polarized``
+    or the presence of any ``polarity`` key selects a polarized graph, in
+    which a node without that key has no capabilities, else a plain one.
     The document is read column by column; only a rejected one is read
     again entry by entry, to say where each of its problems is.
     """
     if not isinstance(doc, dict):
         raise DocumentError([(path or "/", "graph document must be an object")])
     try:
-        obj = _read_columns(doc, typegraph)
-    except StructuralError:  # a constructor refused the graph the columns describe
+        obj = _read_columns(doc, typegraph, polarized)
+    except StructuralError:  # the constructor refused the graph the columns describe
         obj = None
     if obj is None:
-        errors = _row_errors(doc, typegraph, path)
+        errors = _row_errors(doc, typegraph, path, polarized)
         if not errors:
             raise StructuralError("the column pass rejected a graph document the row pass accepts")
         raise DocumentError(errors)
@@ -301,12 +290,12 @@ def _columns(entries, keys: tuple) -> Optional[list]:
 _SIGNS = ("+", "-")
 
 
-def _read_columns(doc: dict, typegraph: Optional[Graph]):
-    """The object a graph document describes, or ``None`` if a check of
-    :func:`_row_errors` that no constructor makes fails.  Every check is a
-    pass over whole columns.  Endpoints, types and the polarity edges need
-    are checked by ``Graph``, ``TypedGraph`` and ``PolarizedGraph``, whose
-    :class:`StructuralError` :func:`parse_graph` takes as a rejection."""
+def _read_columns(doc: dict, typegraph: Optional[Graph], polarized: bool = False):
+    """The graph a document describes, or ``None`` if a check of
+    :func:`_row_errors` that the constructor does not make fails.  Every
+    check is a pass over whole columns.  Endpoints, types and the polarity
+    edges need are checked by ``Graph``, whose :class:`StructuralError`
+    :func:`parse_graph` takes as a rejection."""
     nodes, edges = doc.get("nodes", []), doc.get("edges", [])
     typed = typegraph is not None
     node_cols = _columns(nodes, ("id", "type") if typed else ("id",))
@@ -317,22 +306,20 @@ def _read_columns(doc: dict, typegraph: Optional[Graph]):
     node_set = frozenset(nids)
     if len(node_set) != len(nids) or len(set(eids)) != len(eids):
         return None
-    graph = Graph(node_set, dict(zip(eids, srcs)), dict(zip(eids, tgts)))
+    src, tgt = dict(zip(eids, srcs)), dict(zip(eids, tgts))
 
     if typed:
         if any(map(contains, nodes, repeat("polarity"))):
             return None
-        typing = Morphism(graph, typegraph, dict(zip(nids, node_cols[1])), dict(zip(eids, edge_cols[3])))
-        return TypedGraph(graph, typegraph, typing)
+        return Graph(node_set, src, tgt, dict(zip(nids, node_cols[1])), dict(zip(eids, edge_cols[3])), typegraph)
     if any(map(contains, chain(nodes, edges), repeat("type"))):
         return None
-    if not any(map(contains, nodes, repeat("polarity"))):
-        return graph
+    if not (polarized or any(map(contains, nodes, repeat("polarity")))):
+        return Graph(node_set, src, tgt)
     pols = list(map(methodcaller("get", "polarity", []), nodes))
     if not (all(map(isinstance, pols, repeat(list))) and all(map(_SIGNS.__contains__, chain.from_iterable(pols)))):
         return None
-    return PolarizedGraph(graph, frozenset(compress(nids, map(contains, pols, repeat("+")))),
-                          frozenset(compress(nids, map(contains, pols, repeat("-")))))
+    return Graph(node_set, src, tgt, dict(zip(nids, map(_CAPABILITIES.__getitem__, map(frozenset, pols)))))
 
 
 def _array(doc: dict, key: str, path: str, errors: list) -> list:
@@ -349,7 +336,7 @@ def _report_non_strings(entry: dict, keys, p: str, errors: list):
             errors.append((f"{p}/{key}", f"'{key}' must be a string, got {entry[key]!r}"))
 
 
-def _row_errors(doc: dict, typegraph: Optional[Graph], path: str) -> list:
+def _row_errors(doc: dict, typegraph: Optional[Graph], path: str, polarized: bool = False) -> list:
     """Every problem of a graph document, with its position, found entry by
     entry.  Problems of the labelling are looked for only in a document
     that has none of the others."""
@@ -358,7 +345,6 @@ def _row_errors(doc: dict, typegraph: Optional[Graph], path: str) -> list:
     edges = _array(doc, "edges", path, errors)
 
     seen_nodes = {}
-    polarized = False
     for i, entry in enumerate(nodes):
         p = f"{path}/nodes/{i}"
         if not isinstance(entry, dict) or "id" not in entry:
@@ -449,23 +435,29 @@ def morphism_doc(f: Morphism, with_objects: bool = False) -> dict:
 
 def parse_morphism(doc, source=None, target=None, typegraph: Optional[Graph] = None,
                    path: str = "") -> Morphism:
-    """Parse a MorphismDoc against known endpoints, or its embedded ones."""
+    """Parse a MorphismDoc against known endpoints, or its embedded ones.
+
+    Both ends are read in one setting: typed over ``typegraph`` if there is
+    one, else polarized if a given end is or an embedded one has a
+    ``polarity`` key, else plain."""
     if not isinstance(doc, dict):
         raise DocumentError([(path or "/", "morphism document must be an object")])
     errors = []
+    polarized = typegraph is None and any(
+        _has_polarity(doc.get(key)) if end is None else end.kind == "grpol"
+        for key, end in (("source", source), ("target", target)))
     if source is None:
         if "source" not in doc:
             raise DocumentError([(f"{path}/source", "no source graph given or embedded")])
-        source = parse_graph(doc["source"], typegraph, path=f"{path}/source")
+        source = parse_graph(doc["source"], typegraph, f"{path}/source", polarized)
     if target is None:
         if "target" not in doc:
             raise DocumentError([(f"{path}/target", "no target graph given or embedded")])
-        target = parse_graph(doc["target"], typegraph, path=f"{path}/target")
+        target = parse_graph(doc["target"], typegraph, f"{path}/target", polarized)
 
-    sg, tg = carrier(source), carrier(target)
     maps = {}
-    for key, item, known_src, known_tgt in (("nodes", "node", sg.nodes, tg.nodes),
-                                            ("edges", "edge", sg.src, tg.src)):
+    for key, item, known_src, known_tgt in (("nodes", "node", source.nodes, target.nodes),
+                                            ("edges", "edge", source.src, target.src)):
         mapping = maps[key] = doc.get(key, {})
         if not isinstance(mapping, dict):
             errors.append((f"{path}/{key}", f"'{key}' must be an object mapping ids to ids"))
@@ -480,6 +472,12 @@ def parse_morphism(doc, source=None, target=None, typegraph: Optional[Graph] = N
     if errors:
         raise DocumentError(errors)
     return Morphism(source, target, dict(maps["nodes"]), dict(maps["edges"]))
+
+
+def _has_polarity(doc) -> bool:
+    """Whether ``doc`` is a graph document with a node that has a ``polarity`` key."""
+    nodes = doc.get("nodes") if isinstance(doc, dict) else None
+    return isinstance(nodes, list) and any(isinstance(node, dict) and "polarity" in node for node in nodes)
 
 
 # -- rules ---------------------------------------------------------------------
@@ -544,7 +542,7 @@ def parse_rule(doc, path: str = ""):
     instance = GR
     if "typegraph" in doc:
         typegraph = parse_graph(doc["typegraph"], path=f"{path}/typegraph")
-        if not isinstance(typegraph, Graph):
+        if not belongs(typegraph, GR):
             raise DocumentError([(f"{path}/typegraph", "the type graph must be a plain graph")])
         instance = typed_over(typegraph)
 
@@ -563,14 +561,13 @@ def parse_rule(doc, path: str = ""):
     pol = doc["polarity"]
     if not isinstance(pol, dict):
         raise DocumentError([(f"{path}/polarity", "polarity must be an object with 'plus' and 'minus' arrays")])
-    kg = carrier(k)
     for key in ("plus", "minus"):
         ids = pol.get(key, [])
         if not isinstance(ids, list):
             errors.append((f"{path}/polarity/{key}", f"'{key}' must be an array of interface node ids"))
             continue
         for nid in ids:
-            if not isinstance(nid, str) or nid not in kg.nodes:
+            if not isinstance(nid, str) or nid not in k.nodes:
                 errors.append((f"{path}/polarity/{key}", f"unknown interface node {nid!r}"))
     if errors:
         raise DocumentError(errors)
@@ -633,15 +630,14 @@ def _dot_attrs(item: str, text: Optional[str]) -> str:
 
 
 def _graph_dot_lines(obj, prefix: str = "", indent: str = "  "):
-    g = carrier(obj)
     node_labels, edge_labels = obj.node_labels, obj.edge_labels
     lines = []
-    for n in sorted(g.nodes):
+    for n in sorted(obj.nodes):
         text = None if node_labels is None else n + _label_text(node_labels[n])
         lines.append(f"{indent}{_dot(prefix + n)}{_dot_attrs(n, text)};")
-    for e in sorted(g.src):
+    for e in sorted(obj.src):
         text = e if edge_labels is None else e + _label_text(edge_labels[e])
-        lines.append(f"{indent}{_dot(prefix + g.src[e])} -> {_dot(prefix + g.tgt[e])}{_dot_attrs(e, text)};")
+        lines.append(f"{indent}{_dot(prefix + obj.src[e])} -> {_dot(prefix + obj.tgt[e])}{_dot_attrs(e, text)};")
     return lines
 
 

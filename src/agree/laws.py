@@ -28,7 +28,6 @@ from .core import (
     CategoryInstance,
     Graph,
     Morphism,
-    carrier,
     compose,
     typed_over,
     validate_morphism,
@@ -105,7 +104,8 @@ class _Gen:
     The random distributions differ per setting: typed objects draw a type
     for each node before its edges, polarized ones draw capabilities after
     their edges and gain the capabilities new edges need.  Labels are kept
-    in plain dicts and every object is built by the instance's constructor.
+    in plain dicts, and every object is a ``Graph`` over the instance's
+    type graph.
     """
 
     def __init__(self, rng: random.Random, bound: tuple, instance: CategoryInstance):
@@ -150,7 +150,7 @@ class _Gen:
                 eid = f"{prefix}e{i}"
                 edges[eid] = (rng.choice(srcs), rng.choice(tgts))
                 edge_types[eid] = et
-        return self.instance.make(Graph.build(nodes, edges), node_types, edge_types)
+        return Graph.build(nodes, edges, node_types, edge_types, tg)
 
     def _polarized(self, prefix, nmax, emax):
         g = self._graph(prefix, nmax, emax)
@@ -158,7 +158,7 @@ class _Gen:
         for e in g.src:
             caps[g.src[e]] |= {"+"}
             caps[g.tgt[e]] |= {"-"}
-        return self.instance.make(g, caps, None)
+        return Graph(g.nodes, g.src, g.tgt, caps)
 
     def object(self, prefix="n", nmax=None, emax=None):
         nmax = self.nmax if nmax is None else nmax
@@ -176,18 +176,17 @@ class _Gen:
         rng = self.rng
         if target is None:
             target = self.object("z")
-        g = carrier(target)
-        kept_nodes = [x for x in sorted(g.nodes) if rng.random() < 0.6]
+        kept_nodes = [x for x in sorted(target.nodes) if rng.random() < 0.6]
         kept_set = set(kept_nodes)
         kept_edges = [
-            e for e in sorted(g.src)
-            if g.src[e] in kept_set and g.tgt[e] in kept_set and rng.random() < 0.7
+            e for e in sorted(target.src)
+            if target.src[e] in kept_set and target.tgt[e] in kept_set and rng.random() < 0.7
         ]
         nodemap = {f"{prefix}{i}": x for i, x in enumerate(kept_nodes)}
         edgemap = {f"{prefix}e{i}": e for i, e in enumerate(kept_edges)}
         inv = {x: y for y, x in nodemap.items()}
-        sub = Graph.build(nodemap, {d: (inv[g.src[e]], inv[g.tgt[e]]) for d, e in edgemap.items()})
-        source = self.instance.make(sub, _pull(target.node_labels, nodemap), _pull(target.edge_labels, edgemap))
+        source = Graph.build(nodemap, {d: (inv[target.src[e]], inv[target.tgt[e]]) for d, e in edgemap.items()},
+                             _pull(target.node_labels, nodemap), _pull(target.edge_labels, edgemap), self.typegraph)
         m = Morphism(source, target, nodemap, edgemap)
         if not validate_morphism(m, self.instance).is_mono_in_M:
             raise InvariantError("the generator drew an arrow that is not an admissible mono")
@@ -198,19 +197,18 @@ class _Gen:
         rng = self.rng
         nmax = self.nmax if nmax is None else nmax
         emax = self.emax if emax is None else emax
-        g = carrier(target)
-        tnodes = sorted(g.nodes)
+        tnodes = sorted(target.nodes)
         n = rng.randint(0, nmax) if tnodes else 0
         nodes = [f"{prefix}{i}" for i in range(n)]
         nodemap = {x: rng.choice(tnodes) for x in nodes}
         edges = {}
         edgemap = {}
-        tedges = sorted(g.src)
+        tedges = sorted(target.src)
         if nodes and tedges:
             for i in range(rng.randint(0, emax)):
                 d = rng.choice(tedges)
-                srcs = [x for x in nodes if nodemap[x] == g.src[d]]
-                tgts = [x for x in nodes if nodemap[x] == g.tgt[d]]
+                srcs = [x for x in nodes if nodemap[x] == target.src[d]]
+                tgts = [x for x in nodes if nodemap[x] == target.tgt[d]]
                 if not srcs or not tgts:
                     continue
                 eid = f"{prefix}e{i}"
@@ -223,7 +221,7 @@ class _Gen:
             for s, t in edges.values():
                 labels[s] |= {"+"}
                 labels[t] |= {"-"}
-        source = self.instance.make(Graph.build(nodes, edges), labels, _pull(target.edge_labels, edgemap))
+        source = Graph.build(nodes, edges, labels, _pull(target.edge_labels, edgemap), self.typegraph)
         f = Morphism(source, target, nodemap, edgemap)
         if not validate_morphism(f, self.instance).valid:
             raise InvariantError("the generator drew an arrow that is not a valid morphism")
@@ -244,8 +242,7 @@ class _Gen:
         target as needed so the map can be total."""
         rng = self.rng
         target = self.object(prefix)
-        g = carrier(source)
-        tg = carrier(target)
+        g, tg = source, target
         nodes = set(tg.nodes)
         edges = dict(tg.src)
         tgts = dict(tg.tgt)
@@ -289,7 +286,7 @@ class _Gen:
                     labels[v] |= {"-"}
             edgemap[e] = d
 
-        target = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
+        target = Graph(frozenset(nodes), edges, tgts, labels, edge_labels, self.typegraph)
         f = Morphism(source, target, nodemap, edgemap)
         if not validate_morphism(f, self.instance).valid:
             raise InvariantError("the generator drew an arrow that is not a valid morphism")
@@ -300,12 +297,11 @@ class _Gen:
         rng = self.rng
         extra_nodes = rng.randint(0, 2) if extra_nodes is None else extra_nodes
         extra_edges = rng.randint(0, 2) if extra_edges is None else extra_edges
-        g = carrier(lhs)
-        nodemap = {x: f"g{i}" for i, x in enumerate(sorted(g.nodes))}
-        edgemap = {e: f"ge{i}" for i, e in enumerate(sorted(g.src))}
+        nodemap = {x: f"g{i}" for i, x in enumerate(sorted(lhs.nodes))}
+        edgemap = {e: f"ge{i}" for i, e in enumerate(sorted(lhs.src))}
         nodes = set(nodemap.values())
-        edges = {edgemap[e]: nodemap[g.src[e]] for e in g.src}
-        tgts = {edgemap[e]: nodemap[g.tgt[e]] for e in g.src}
+        edges = {edgemap[e]: nodemap[lhs.src[e]] for e in lhs.src}
+        tgts = {edgemap[e]: nodemap[lhs.tgt[e]] for e in lhs.src}
         labels = _pull(lhs.node_labels, {y: x for x, y in nodemap.items()})
         edge_labels = _pull(lhs.edge_labels, {d: e for e, d in edgemap.items()})
 
@@ -335,7 +331,7 @@ class _Gen:
             if edge_labels is not None:
                 edge_labels[eid] = et
 
-        host = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
+        host = Graph(frozenset(nodes), edges, tgts, labels, edge_labels, tg)
         m = Morphism(lhs, host, nodemap, edgemap)
         if not validate_morphism(m, self.instance).is_mono_in_M:
             raise InvariantError("the generator drew an arrow that is not an admissible mono")
@@ -378,10 +374,9 @@ class _Gen:
         extra edges touching the interface."""
         rng = self.rng
         k = self.object("k", nmax=max(1, self.nmax - 2), emax=max(0, self.emax - 3))
-        g = carrier(k)
-        nodes = set(g.nodes)
-        edges = dict(g.src)
-        tgts = dict(g.tgt)
+        nodes = set(k.nodes)
+        edges = dict(k.src)
+        tgts = dict(k.tgt)
         labels = _copied(k.node_labels)
         edge_labels = _copied(k.edge_labels)
         tg = self.typegraph
@@ -395,7 +390,7 @@ class _Gen:
                 edge_labels[f"s{et}"] = et
             for i in range(rng.randint(0, 2)):
                 et = rng.choice(sorted(tg.src))
-                srcs = [x for x in sorted(g.nodes) if labels[x] == tg.src[et]]
+                srcs = [x for x in sorted(k.nodes) if labels[x] == tg.src[et]]
                 tgs = [x for x in sorted(nodes) if labels[x] == tg.tgt[et]]
                 if not srcs or not tgs:
                     continue
@@ -406,14 +401,14 @@ class _Gen:
             nodes.add("s")
             edges["sloop"] = "s"
             tgts["sloop"] = "s"
-            knodes = sorted(g.nodes)
+            knodes = sorted(k.nodes)
             for i in range(rng.randint(0, 2) if knodes else 0):
                 src = rng.choice(knodes + ["s"])
                 tgt = rng.choice(knodes) if src == "s" or rng.random() < 0.5 else "s"
                 edges[f"kx{i}"] = src
                 tgts[f"kx{i}"] = tgt
-        tk = self.instance.make(Graph(frozenset(nodes), edges, tgts), labels, edge_labels)
-        t = Morphism(k, tk, {x: x for x in g.nodes}, {e: e for e in g.src})
+        tk = Graph(frozenset(nodes), edges, tgts, labels, edge_labels, tg)
+        t = Morphism(k, tk, {x: x for x in k.nodes}, {e: e for e in k.src})
         l = self._map_from(k, "l")
         r = self._map_from(k, "r")
         return agree_rule(l, r, t, self.instance)
@@ -428,8 +423,7 @@ class _Gen:
             m = self.match_onto(lhs, extra_nodes=self.rng.randint(0, 1),
                                 extra_edges=self.rng.randint(0, 2))
             fp = fpbc(l, m, self.instance)
-            gd = carrier(fp.context)
-            if len(gd.nodes) <= 4 and len(gd.src) <= 4:
+            if len(fp.context.nodes) <= 4 and len(fp.context.src) <= 4:
                 return l, m
         raise PreconditionError("could not draw a desk-scale fpbc instance")
 
@@ -457,8 +451,7 @@ def _law_phi_unique(gen, instance, inject):
     cy = t_object(f.target, instance)
     ph = phi(m, f, instance)
     ok = is_pullback_square(f, m, cy.unit, ph, instance)
-    z = carrier(m.target)
-    y = carrier(f.target)
+    z, y = m.target, f.target
     if ok and len(z.nodes) <= 3 and len(y.nodes) <= 2:
         # Exhaustive uniqueness at desk scale: a competing arrow is a
         # pullback iff it commutes and the unit part pulls back onto the
@@ -542,7 +535,7 @@ def _law_psqpo_agree(gen, instance, inject):
     via_lifted = agree_step(rule, m, instance).result
     ok = iso_search(via_pol, via_lifted, instance) is not None
 
-    k = carrier(rule.interface)
+    k = rule.interface
     full = psqpo_rule(rule.l, rule.r, k.nodes, k.nodes)
     via_full = psqpo_step(full, m).result
     fp = fpbc(rule.l, m, instance)

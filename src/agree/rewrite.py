@@ -36,7 +36,7 @@ from .core import (
     Graph,
     Morphism,
     PolarizedGraph,
-    carrier,
+    belongs,
     compose,
     identity,
     pol_forget,
@@ -121,7 +121,7 @@ def psqpo_rule(l: Morphism, r: Morphism, nplus, nminus) -> Rule:
     unit, so the rule can also be executed directly as an ``AGREE`` rule.
     """
     k = l.source
-    if not isinstance(k, Graph):
+    if not belongs(k, GR):
         raise RuleError("polarized rules live over plain graphs")
     khat = PolarizedGraph(k, frozenset(nplus), frozenset(nminus))
     t = pol_forget(t_object(khat, GRPOL).unit)
@@ -133,7 +133,7 @@ def psqpo_rule(l: Morphism, r: Morphism, nplus, nminus) -> Rule:
 class PolarizedPhase:
     """The polarized first phase of a PSQPO step, before polarity is dropped."""
 
-    khat: PolarizedGraph
+    khat: Graph
     lhat: Morphism
     mhat: Morphism
     n: Morphism
@@ -304,7 +304,7 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
     """
     if compose(m, l) != compose(a, n):
         raise PreconditionError("candidate complement square does not commute")
-    gd = carrier(n.target)
+    gd = n.target
     if size_bound is None:
         bound = (len(gd.nodes) + 1, len(gd.src) + 1)
     elif isinstance(size_bound, int):
@@ -318,12 +318,11 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
     if not is_pullback_square(l, n, m, a, instance):
         return FpbcReport(False, bound, 0, {"reason": "square is not a pullback"})
 
-    g_obj = m.target
-    gg = carrier(g_obj)
+    gg = m.target
     gnodes = sorted(gg.nodes)
     gedges = sorted(gg.src)
     check = _factoring_check(m, n, a, instance)
-    label_choices = _label_choices(g_obj, instance)
+    label_choices = _label_choices(gg, instance)
     cones = 0
 
     for sizes in _fiber_vectors(len(gnodes), node_bound):
@@ -411,9 +410,9 @@ def _factoring_check(m: Morphism, n: Morphism, a: Morphism, instance: CategoryIn
     pullback.  The witness names the first lift, in the order of its K ids,
     whose count is not 1; a count of 2 means two or more.
     """
-    gd = carrier(n.target)
-    host = _host_index(gd, _over(gd.nodes, a.nodemap, n.target.node_labels),
-                       _over(gd.src, a.edgemap, n.target.edge_labels))
+    gd = n.target
+    host = _host_index(gd, _over(gd.nodes, a.nodemap, gd.node_labels),
+                       _over(gd.src, a.edgemap, gd.edge_labels))
     leq = instance.leq
 
     def order(p, q):
@@ -498,16 +497,15 @@ def strict_complement(m: Morphism, instance: CategoryInstance):
     """
     if not validate_morphism(m, instance).is_mono_in_M:
         raise PreconditionError("strict complements are taken of admissible monos")
-    g_obj = m.target
-    g = carrier(g_obj)
+    g = m.target
     hit_nodes = set(m.nodemap.values())
     hit_edges = set(m.edgemap.values())
     nodes = {x for x in g.nodes if x not in hit_nodes}
     edges = {e for e in g.src if e not in hit_edges and g.src[e] in nodes and g.tgt[e] in nodes}
 
-    graph = Graph(frozenset(nodes), {e: g.src[e] for e in edges}, {e: g.tgt[e] for e in edges})
-    comp = instance.make(graph, _restrict(g_obj.node_labels, nodes), _restrict(g_obj.edge_labels, edges))
-    incl = Morphism(comp, g_obj, {x: x for x in nodes}, {e: e for e in edges})
+    comp = Graph(frozenset(nodes), {e: g.src[e] for e in edges}, {e: g.tgt[e] for e in edges},
+                 _restrict(g.node_labels, nodes), _restrict(g.edge_labels, edges), instance.typegraph)
+    incl = Morphism(comp, g, {x: x for x in nodes}, {e: e for e in edges})
 
     ch = characteristic(m, instance)
     pb = pullback(ch.chi, ch.false_pt, instance)
@@ -536,8 +534,8 @@ def complement_of_square(n: Morphism, l: Morphism, m: Morphism, g: Morphism,
         raise PreconditionError("complement_of_square needs a pullback square")
     comp_d, incl_d = strict_complement(n, instance)
     comp_g, incl_g = strict_complement(m, instance)
-    cd = carrier(comp_d)
-    out = Morphism(comp_d, comp_g, {x: g.nodemap[x] for x in cd.nodes}, {e: g.edgemap[e] for e in cd.src})
+    out = Morphism(comp_d, comp_g, {x: g.nodemap[x] for x in comp_d.nodes},
+                   {e: g.edgemap[e] for e in comp_d.src})
     if not is_pullback_square(out, incl_d, incl_g, g, instance):
         raise InvariantError("the square restricted to the strict complements is not a pullback")
     return out

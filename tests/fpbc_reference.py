@@ -9,7 +9,7 @@ complements the comparison also runs on.
 
 from itertools import combinations_with_replacement, product
 
-from agree import CategoryInstance, Graph, Morphism, PreconditionError, carrier, compose, is_pullback_square
+from agree import CategoryInstance, Graph, Morphism, PreconditionError, compose, is_pullback_square
 from agree.rewrite import FpbcReport
 
 
@@ -59,7 +59,7 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
     if compose(m, l) != compose(a, n):
         raise PreconditionError("candidate complement square does not commute")
     d_obj = n.target
-    gd = carrier(d_obj)
+    gd = d_obj
     if size_bound is None:
         bound = (len(gd.nodes) + 1, len(gd.src) + 1)
     elif isinstance(size_bound, int):
@@ -72,10 +72,10 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
         return FpbcReport(False, bound, 0, {"reason": "square is not a pullback"})
 
     g_obj = m.target
-    gg = carrier(g_obj)
+    gg = g_obj
     k_obj = l.source
-    gk = carrier(k_obj)
-    gl = carrier(m.source)
+    gk = k_obj
+    gl = m.source
 
     inv_m_nodes = {v: k for k, v in m.nodemap.items()}
     inv_m_edges = {v: k for k, v in m.edgemap.items()}
@@ -163,7 +163,7 @@ def _check_cone(copies, edges, f_node, pol,
     d_node = {cid: inv_m_nodes[f_node[cid]] for cid in kp_nodes}
     d_edge = {ei: inv_m_edges[f_edge[ei]] for ei in kp_edges}
 
-    gk = carrier(k_obj)
+    gk = k_obj
     # With m strict, the pullback polarity on the preimage part coincides
     # with the competitor's own polarity; keep the meet anyway.
     if pol is not None:
@@ -274,18 +274,18 @@ def mutants(fp, m, instance):
     node of G, each of its edges doubled, and each node outside n's image
     dropped together with its edges."""
     d, g = fp.context, m.target
-    gd = carrier(d)
+    gd = d
     out = {}
 
     def variant(name, nodes, src, tgt, node_labels, edge_labels, a_nodes, a_edges):
-        obj = instance.make(Graph(frozenset(nodes), src, tgt), node_labels, edge_labels)
+        obj = Graph(frozenset(nodes), src, tgt, node_labels, edge_labels, instance.typegraph)
         out[name] = (Morphism(fp.n.source, obj, dict(fp.n.nodemap), dict(fp.n.edgemap)),
                      Morphism(obj, g, a_nodes, a_edges))
 
     def with_item(labels, item, label):
         return None if labels is None else dict(labels, **{item: label})
 
-    for x in sorted(carrier(g).nodes):
+    for x in sorted(g.nodes):
         variant(f"ghost over {x}", gd.nodes | {"ghost"}, dict(gd.src), dict(gd.tgt),
                 with_item(d.node_labels, "ghost", None if g.node_labels is None else g.node_labels[x]),
                 d.edge_labels, dict(fp.a.nodemap, ghost=x), dict(fp.a.edgemap))

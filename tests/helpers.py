@@ -12,7 +12,6 @@ from agree import (
     Morphism,
     PolarizedGraph,
     TypedGraph,
-    carrier,
     compose,
     validate_morphism,
 )
@@ -21,7 +20,7 @@ from agree.io import graph_doc
 
 def naive_morphisms(x, y, instance):
     """Every valid morphism x -> y, found by filtering the full map product."""
-    gx, gy = carrier(x), carrier(y)
+    gx, gy = x, y
     xs, ys = sorted(gx.nodes), sorted(gy.nodes)
     xe, ye = sorted(gx.src), sorted(gy.src)
     if (xs and not ys) or (xe and not ye):
@@ -60,7 +59,7 @@ def set_partitions(items):
 
 
 def _wrap_like(template, graph, node_types=None, edge_types=None):
-    if isinstance(template, TypedGraph):
+    if template.typegraph is not None:
         return TypedGraph(graph, template.typegraph,
                           Morphism(graph, template.typegraph, node_types, edge_types))
     return graph
@@ -70,11 +69,11 @@ def cocone_targets(h_obj, instance):
     """Candidate cocone objects: quotients of the pushout result (homogeneous
     node classes, with and without merging parallel edges) and one-item
     extensions."""
-    g = carrier(h_obj)
-    typed = isinstance(h_obj, TypedGraph)
+    g = h_obj
+    typed = h_obj.typegraph is not None
 
     for part in set_partitions(sorted(g.nodes)):
-        if typed and any(len({h_obj.typing.nodemap[x] for x in cls}) > 1 for cls in part):
+        if typed and any(len({h_obj.node_labels[x] for x in cls}) > 1 for cls in part):
             continue
         cls_of = {}
         names = {}
@@ -83,17 +82,17 @@ def cocone_targets(h_obj, instance):
             names[name] = cls
             for x in cls:
                 cls_of[x] = name
-        node_types = {name: h_obj.typing.nodemap[cls[0]] for name, cls in names.items()} if typed else None
+        node_types = {name: h_obj.node_labels[cls[0]] for name, cls in names.items()} if typed else None
 
         src = {e: cls_of[g.src[e]] for e in g.src}
         tgt = {e: cls_of[g.tgt[e]] for e in g.src}
         plain = Graph(frozenset(names), dict(src), dict(tgt))
-        edge_types = dict(h_obj.typing.edgemap) if typed else None
+        edge_types = dict(h_obj.edge_labels) if typed else None
         yield _wrap_like(h_obj, plain, node_types, edge_types)
 
         groups = {}
         for e in sorted(g.src):
-            key = (src[e], tgt[e], h_obj.typing.edgemap[e] if typed else None)
+            key = (src[e], tgt[e], h_obj.edge_labels[e] if typed else None)
             groups.setdefault(key, e)
         merged_ids = {key: f"m{i}" for i, key in enumerate(sorted(groups))}
         merged = Graph(frozenset(names),
@@ -102,8 +101,8 @@ def cocone_targets(h_obj, instance):
         merged_types = {merged_ids[k]: k[2] for k in merged_ids} if typed else None
         yield _wrap_like(h_obj, merged, node_types, merged_types)
 
-    node_types = dict(h_obj.typing.nodemap) if typed else None
-    edge_types = dict(h_obj.typing.edgemap) if typed else None
+    node_types = dict(h_obj.node_labels) if typed else None
+    edge_types = dict(h_obj.edge_labels) if typed else None
     fresh_types = sorted(instance.typegraph.nodes) if typed else [None]
     for ft in fresh_types:
         extra_nodes = g.nodes | {"extra"}
@@ -116,7 +115,7 @@ def cocone_targets(h_obj, instance):
             for et in etypes:
                 if typed:
                     tgraph = instance.typegraph
-                    if tgraph.src[et] != h_obj.typing.nodemap[u] or tgraph.tgt[et] != h_obj.typing.nodemap[v]:
+                    if tgraph.src[et] != h_obj.node_labels[u] or tgraph.tgt[et] != h_obj.node_labels[v]:
                         continue
                 extended = Graph(g.nodes, dict(g.src, extra=u), dict(g.tgt, extra=v))
                 ets = dict(edge_types, extra=et) if typed else None
@@ -198,7 +197,7 @@ def with_graph_docs(value):
     tuples too, replaced by its ``graph_doc``, and every morphism by its
     two maps, read key by key as ``morphism_doc`` reads them: the document
     ``dumps`` writes for ``value``."""
-    if isinstance(value, (Graph, TypedGraph, PolarizedGraph)):
+    if isinstance(value, Graph):
         return graph_doc(value)
     if isinstance(value, Morphism):
         return {key: {k: items[k] for k in items}

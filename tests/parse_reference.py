@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from agree.core import GRPOL, Graph, carrier, typed_over
+from agree.core import GRPOL, Graph, typed_over
 from agree.errors import DocumentError
 
 
@@ -30,11 +30,12 @@ def _report_non_strings(entry: dict, keys, p: str, errors: list):
             errors.append((f"{p}/{key}", f"'{key}' must be a string, got {entry[key]!r}"))
 
 
-def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
+def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = "", polarized: bool = False):
     """Parse a GraphDoc.
 
-    With ``typegraph`` the result is a typed graph; otherwise the presence
-    of any ``polarity`` key selects a polarized graph, else a plain one.
+    With ``typegraph`` the result is a typed graph; otherwise ``polarized``
+    or the presence of any ``polarity`` key selects a polarized graph, else
+    a plain one.
     """
     errors = []
     if not isinstance(doc, dict):
@@ -43,7 +44,6 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
     edges = _array(doc, "edges", path, errors)
 
     seen_nodes = {}
-    polarized = False
     for i, entry in enumerate(nodes):
         p = f"{path}/nodes/{i}"
         if not isinstance(entry, dict) or "id" not in entry:
@@ -124,7 +124,7 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = ""):
         return graph
     if errors:
         raise DocumentError(errors)
-    return instance.make(graph, node_labels, edge_labels)
+    return Graph(graph.nodes, graph.src, graph.tgt, node_labels, edge_labels, instance.typegraph)
 
 
 # -- comparing a parser with this one -------------------------------------------
@@ -151,5 +151,5 @@ def assert_same_parse(got, expected):
         if (got.node_labels, got.edge_labels) != (expected.node_labels, expected.edge_labels):
             raise AssertionError(f"labels {got.node_labels!r}, {got.edge_labels!r}, the reference's "
                                  f"{expected.node_labels!r}, {expected.edge_labels!r}")
-        if list(carrier(got).src) != list(carrier(expected).src):
+        if list(got.src) != list(expected.src):
             raise AssertionError("the edges were built in another order than the reference's")

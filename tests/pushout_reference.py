@@ -6,7 +6,7 @@ with one conditional per item.  Tests compare
 insertion order of every map.
 """
 
-from agree import CategoryInstance, Graph, Morphism, PreconditionError, carrier, compose, validate_morphism
+from agree import CategoryInstance, Graph, Morphism, PreconditionError, compose, validate_morphism
 from agree.catops import Pushout
 
 
@@ -29,7 +29,7 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
         raise PreconditionError("pushout needs a span: the two arrows must share their source")
     if not validate_morphism(n, instance).is_mono_in_M:
         raise PreconditionError("pushout requires the first leg to be an admissible mono")
-    gd, gr_ = carrier(n.target), carrier(r.target)
+    gd, gr_ = n.target, r.target
 
     n_nodes = set(n.nodemap.values())
     n_edges = set(n.edgemap.values())
@@ -55,10 +55,11 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
     for d in gr_.src:
         src[f"R:{d}"] = p_nodes[gr_.src[d]]
         tgt[f"R:{d}"] = p_nodes[gr_.tgt[d]]
-    result = instance.make(
-        Graph(frozenset(nodes), src, tgt),
+    result = Graph(
+        frozenset(nodes), src, tgt,
         _glued(n.target.node_labels, r.target.node_labels, h_nodes, p_nodes),
         _glued(n.target.edge_labels, r.target.edge_labels, h_edges, p_edges),
+        instance.typegraph,
     )
 
     h, _ = _checked(instance, n.target, result, h_nodes, h_edges)

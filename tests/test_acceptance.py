@@ -12,7 +12,6 @@ from agree import (
     GR,
     Graph,
     Morphism,
-    carrier,
     fpbc,
     fpbc_verify,
     is_local_rule,
@@ -49,8 +48,8 @@ def _apply(rule_file, graph_file, match_file):
 
 
 def _edge_triples(obj):
-    g = carrier(obj)
-    types = obj.typing.edgemap if hasattr(obj, "typing") else {}
+    g = obj
+    types = obj.edge_labels or {}
     return sorted((g.src[e], g.tgt[e], types.get(e)) for e in g.src)
 
 
@@ -77,7 +76,7 @@ def test_criterion_1_delete_and_clone_scenarios():
 def test_criterion_2_nonlocal_embedding_deletes_unmatched():
     trace, instance = _apply("nonlocal_keep_one_rule.json",
                              "three_elements_graph.json", "element_match.json")
-    ok = len(carrier(trace.result).nodes) == 1
+    ok = len(trace.result.nodes) == 1
     ok = ok and not is_local_rule(trace.rule, instance)
     ok = ok and not is_local_step(trace, instance)
     _report(2, "identity embedding keeps one element, drops the rest, flagged non-local", ok)
@@ -86,7 +85,7 @@ def test_criterion_2_nonlocal_embedding_deletes_unmatched():
 def test_criterion_3_web_page_copy_clones_out_links_only():
     trace, instance = _apply("web_copy_rule.json", "web_graph.json", "web_match.json")
     host = parse_graph(_load("web_graph.json"), instance.typegraph)
-    g_host = carrier(host)
+    g_host = host
 
     # surviving representative of every host node
     unmatched_repr = {}
@@ -98,7 +97,7 @@ def test_criterion_3_web_page_copy_clones_out_links_only():
     clone = trace.p.nodemap["p1"]
 
     expected = [
-        (rep[g_host.src[e]], rep[g_host.tgt[e]], host.typing.edgemap[e])
+        (rep[g_host.src[e]], rep[g_host.tgt[e]], host.edge_labels[e])
         for e in g_host.src
     ]
     expected.append((clone, rep["w"], "link"))  # the only out-link of v, copied
@@ -138,7 +137,7 @@ def test_criterion_5_fpbc_finality_oracle():
     rule, _ = parse_rule(_load("clone_node_rule.json"))
     m = parse_morphism(_load("match_v.json"), source=rule.lhs, target=host)
     fp = fpbc(rule.l, m, GR)
-    d = carrier(fp.context)
+    d = fp.context
     padded = Graph(d.nodes | {"ghost"}, dict(d.src), dict(d.tgt))
     n2 = Morphism(fp.n.source, padded, dict(fp.n.nodemap), dict(fp.n.edgemap))
     for image in ("a", "v"):
@@ -181,7 +180,7 @@ def test_criterion_9_network_anonymization():
     trace, instance = _apply("anonymize_rule.json", "network_graph.json",
                              "network_match.json")
     host = parse_graph(_load("network_graph.json"), instance.typegraph)
-    g_host = carrier(host)
+    g_host = host
     ok = len(g_host.nodes) == 6
 
     rep = {}
@@ -194,12 +193,12 @@ def test_criterion_9_network_anonymization():
     marker = trace.p.nodemap["s"]
 
     expected = [
-        (rep[g_host.src[e]], rep[g_host.tgt[e]], host.typing.edgemap[e])
+        (rep[g_host.src[e]], rep[g_host.tgt[e]], host.edge_labels[e])
         for e in g_host.src
     ]
     # public links whose two endpoints are both matched are mirrored on the clones
     for e in g_host.src:
-        if host.typing.edgemap[e] == "pub" and g_host.src[e] in clones and g_host.tgt[e] in clones:
+        if host.edge_labels[e] == "pub" and g_host.src[e] in clones and g_host.tgt[e] in clones:
             expected.append((clones[g_host.src[e]], clones[g_host.tgt[e]], "pub"))
     expected.extend((marker, clones[f"u{i}"], "marks") for i in range(1, 5))
 

@@ -12,7 +12,6 @@ from agree import (
     PolarizedGraph,
     PreconditionError,
     bang,
-    carrier,
     compose,
     final_object,
     generate,
@@ -51,7 +50,7 @@ class TestPullback:
         pb = pullback(identity(z), g, GR)
         pairs = {(x, w) for x in z.nodes for w in y.nodes if x == g.nodemap[w]}
         assert pairs == {("b", "c")}
-        apex = carrier(pb.apex)
+        apex = pb.apex
         assert len(apex.nodes) == 1 and not apex.src
         assert apex.nodes == frozenset(["(b,c)"])
 
@@ -102,7 +101,7 @@ class TestMediator:
         pb = pullback(identity(x), identity(x), GR)
         z = pullback_mediator(pb, pb.p1, pb.p2)
         assert validate_morphism(z, GR).is_iso
-        assert z.nodemap == {n: n for n in carrier(pb.apex).nodes}
+        assert z.nodemap == {n: n for n in pb.apex.nodes}
 
     def test_empty_cone(self):
         x = Graph.build(["a"])
@@ -136,7 +135,7 @@ class TestPushout:
         n = Morphism(k, d, {"k": "k"}, {})
         r = Morphism(k, r_obj, {"k": "k1"}, {})
         po = pushout_along_mono(n, r, GR)
-        h = carrier(po.result)
+        h = po.result
         assert h.nodes == frozenset(["D:d", "R:k1", "R:k2"])
         assert h.src == {"D:ed": "D:d"} and h.tgt == {"D:ed": "R:k1"}
 
@@ -172,7 +171,7 @@ class TestPushout:
                 n = gen.match_onto(k, extra_nodes=1, extra_edges=1)
                 po = pushout_along_mono(n, rule_r, inst)
                 assert compose(po.h, n) == compose(po.p, rule_r)
-                h_graph = carrier(po.result)
+                h_graph = po.result
                 if len(h_graph.nodes) > 4 or len(h_graph.src) > 3:
                     continue  # keep the quotient family at desk scale
                 checked += 1
@@ -195,7 +194,7 @@ class TestConstants:
     def test_typed_terminal_over_node_only_base(self):
         inst = set_category()
         one = final_object(inst)
-        assert len(carrier(one).nodes) == 1 and not carrier(one).src
+        assert len(one.nodes) == 1 and not one.src
 
     def test_bang_on_initial_is_admissible_mono(self):
         for inst in (GR, set_category(), GRPOL):
@@ -259,16 +258,16 @@ class TestIsoSearch:
 
 def _renamed_copy(obj, inst, rng):
     """An isomorphic copy of ``obj`` whose ids are a shuffled renaming."""
-    g = carrier(obj)
+    g = obj
     nodes = {n: f"c{i}" for i, n in enumerate(rng.sample(sorted(g.nodes), len(g.nodes)))}
     edges = {e: f"ce{i}" for i, e in enumerate(rng.sample(sorted(g.src), len(g.src)))}
-    graph = Graph(frozenset(nodes.values()), {edges[e]: nodes[g.src[e]] for e in g.src},
-                  {edges[e]: nodes[g.tgt[e]] for e in g.src})
 
     def renamed(labels, names):
         return None if labels is None else {names[k]: label for k, label in labels.items()}
 
-    return inst.make(graph, renamed(obj.node_labels, nodes), renamed(obj.edge_labels, edges))
+    return Graph(frozenset(nodes.values()), {edges[e]: nodes[g.src[e]] for e in g.src},
+                 {edges[e]: nodes[g.tgt[e]] for e in g.src},
+                 renamed(obj.node_labels, nodes), renamed(obj.edge_labels, edges), inst.typegraph)
 
 
 class TestPullbackSquares:
@@ -286,7 +285,7 @@ class TestPullbackSquares:
         y = Graph.build(["c"])
         g = Morphism(y, x, {"c": "a"}, {})
         pb = pullback(identity(x), g, GR)
-        apex = carrier(pb.apex)
+        apex = pb.apex
         padded = Graph(apex.nodes | {"pad"}, dict(apex.src), dict(apex.tgt))
         p1 = Morphism(padded, x, dict(pb.p1.nodemap, pad="a"), dict(pb.p1.edgemap))
         p2 = Morphism(padded, y, dict(pb.p2.nodemap, pad="c"), dict(pb.p2.edgemap))
@@ -298,7 +297,7 @@ class TestPullbackSquares:
         y = Graph.build(["c", "d"])
         g = Morphism(y, x, {"c": "a", "d": "b"}, {})
         pb = pullback(identity(x), g, GR)
-        assert carrier(pb.apex).nodes == {"(a,c)", "(b,d)"}
+        assert pb.apex.nodes == {"(a,c)", "(b,d)"}
         short = Graph.build(["(a,c)"])
         p1 = Morphism(short, x, {"(a,c)": "a"}, {})
         p2 = Morphism(short, y, {"(a,c)": "c"}, {})
@@ -314,7 +313,7 @@ class TestPullbackSquares:
         g = Morphism(y, x, {"c": "a"}, {})
         pb = pullback(identity(x), g, GRPOL)
         assert pb.apex.node_labels == {"(a,c)": frozenset("+-")}
-        weak = PolarizedGraph(carrier(pb.apex), frozenset({"(a,c)"}), frozenset())
+        weak = PolarizedGraph(pb.apex, frozenset({"(a,c)"}), frozenset())
         p1 = Morphism(weak, x, dict(pb.p1.nodemap), {})
         p2 = Morphism(weak, y, dict(pb.p2.nodemap), {})
         assert validate_morphism(p1, GRPOL).valid and validate_morphism(p2, GRPOL).valid

@@ -15,7 +15,6 @@ from agree import (
     TypedGraph,
     bang,
     bar,
-    carrier,
     characteristic,
     compose,
     default_instance,
@@ -44,31 +43,30 @@ class TestTObject:
     def test_star_edge_count_formula(self):
         y = Graph.build(["a", "b"], {"e": ("a", "b")})
         c = t_object(y, GR)
-        total = carrier(c.total)
+        total = c.total
         assert len(total.nodes) == 3
         assert len(total.src) == 1 + (2 + 1) ** 2
         assert c.star_nodes == frozenset(["*"])
 
     def test_enlarged_initial_is_final(self):
         c = t_object(initial_object(GR), GR)
-        total = carrier(c.total)
+        total = c.total
         assert len(total.nodes) == 1 and len(total.src) == 1
         assert iso_search(c.total, final_object(GR), GR) is not None
 
     def test_polarized_star_edges_respect_capabilities(self):
         y = PolarizedGraph(Graph.build(["a"]), frozenset(["a"]), frozenset())
         c = t_object(y, GRPOL)
-        total = carrier(c.total)
+        total = c.total
         assert total.nodes == frozenset(["a", "*"])
         assert set(total.src) == {"*(a,*)", "*(*,*)"}
-        assert c.total.nplus == frozenset(["a", "*"])
-        assert c.total.nminus == frozenset(["*"])
+        assert c.total.node_labels == {"a": frozenset(["+"]), "*": frozenset(["+", "-"])}
 
     def test_typed_adds_stars_even_for_present_types(self):
         inst = typed_over(Graph.build(["t"], {"loop": ("t", "t")}))
         y = _typed(inst, ["a"], node_types={"a": "t"})
         c = t_object(y, inst)
-        total = carrier(c.total)
+        total = c.total
         assert total.nodes == frozenset(["a", "*:t"])
         # star edges between every pair of the enlarged node set
         assert len(total.src) == 4
@@ -86,9 +84,9 @@ class TestTObject:
     def test_enlarged_carrier_is_frozen(self, kind):
         inst = default_instance(kind)
         y = generate("graph", 3, (2, 2), inst)
-        nodes = carrier(t_object(y, inst).total).nodes
+        nodes = t_object(y, inst).total.nodes
         assert type(nodes) is frozenset
-        assert nodes == carrier(y).nodes | {"*" + s for s in inst.stars}
+        assert nodes == y.nodes | {"*" + s for s in inst.stars}
 
     def test_unit_is_admissible_mono(self):
         for seed in range(10):
@@ -135,7 +133,7 @@ class TestTMorphism:
 
 
 def _extend_then_embed(y):
-    g = carrier(y)
+    g = y
     bigger = Graph(g.nodes | {"pad"}, dict(g.src), dict(g.tgt))
     return Morphism(y, bigger, {x: x for x in g.nodes}, {e: e for e in g.src})
 
@@ -223,7 +221,7 @@ class TestCharacteristic:
 def _reference_absorb(instance, obj, mark, nodemap, edgemap):
     """``classifier._absorb`` as it was before it shared star edge ids: one
     formatted string per absorbed edge."""
-    g = carrier(obj)
+    g = obj
     labels = obj.node_labels
     if labels is None:
         nodes = dict.fromkeys(g.nodes, mark + instance.star(None))
@@ -263,11 +261,11 @@ def _large_host(inst, seed, n=2000, m=6000):
 def _small_mono(host):
     """The inclusion of the ends of the first host edge, six more host
     nodes, and the host edges among them."""
-    g = carrier(host)
+    g = host
     kept = sorted({*g.ends(min(g.src)), *sorted(g.nodes)[:6]})
     edges = {e: g.ends(e) for e in sorted(g.src) if set(g.ends(e)) <= set(kept)}
     sub = Graph.build(kept, edges)
-    if isinstance(host, TypedGraph):
+    if host.typegraph is not None:
         sub = TypedGraph(sub, host.typegraph, Morphism(sub, host.typegraph,
                                                        {x: host.node_labels[x] for x in kept},
                                                        {e: host.edge_labels[e] for e in edges}))

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 import agree.cli
-from agree import GR, GRPOL, Graph, Morphism, carrier, iso_search, strict_complement, t_object
+from agree import GR, GRPOL, Graph, Morphism, iso_search, strict_complement, t_object
 from agree.cli import main
 from agree.rewrite import Fpbc
 from agree.io import dumps, morphism_doc, parse_graph, parse_morphism
@@ -187,6 +187,18 @@ class TestFpbc:
         out = json.loads(capsys.readouterr().out)
         assert len(out["D"]["nodes"]) == 4 and len(out["D"]["edges"]) == 4
 
+    def test_empty_interface_into_a_polarized_lhs(self, workdir, capsys):
+        """``l`` starts at an empty K with no polarity field: both its ends
+        are read in the polarized setting of its target."""
+        tmp, write = workdir
+        point = {"nodes": [{"id": "x", "polarity": ["+", "-"]}], "edges": []}
+        l = write("l.json", {"source": {"nodes": [], "edges": []}, "target": point, "nodes": {}, "edges": {}})
+        m = write("m.json", {"target": _POLARIZED_HOST, "nodes": {"x": "v"}, "edges": {}})
+        assert main(["fpbc", "--l", l, "--m", m]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["D"] == {"nodes": [{"id": "(a,*)", "polarity": ["+"]}, {"id": "(b,*)", "polarity": ["-"]}],
+                            "edges": []}
+
     def test_shipped_clone_complement_is_final(self, capsys):
         assert main(CLONE_FPBC) == 0
         assert capsys.readouterr().err == "finality: ok (bound=(5, 5), cones=755)\n"
@@ -201,7 +213,7 @@ class TestFpbc:
         def padded(l, m, instance):
             # The complement plus a node over a, which m does not reach.
             fp = real(l, m, instance)
-            d = carrier(fp.context)
+            d = fp.context
             ghost = Graph(d.nodes | {"ghost"}, dict(d.src), dict(d.tgt))
             return Fpbc(Morphism(fp.n.source, ghost, dict(fp.n.nodemap), dict(fp.n.edgemap)),
                         Morphism(ghost, fp.a.target, dict(fp.a.nodemap, ghost="a"), dict(fp.a.edgemap)),
@@ -260,7 +272,18 @@ class TestComplement:
         assert main(["complement", "--m", m]) == 0
         comp, incl = strict_complement(parse_morphism(doc), GRPOL)
         assert capsys.readouterr().out == dumps({"complement": comp, "inclusion": morphism_doc(incl)})
-        assert comp.nplus == {"a"} and comp.nminus == {"b"}
+        assert comp.node_labels == {"a": {"+"}, "b": {"-"}}
+
+
+    def test_empty_source_into_a_polarized_graph(self, workdir, capsys):
+        """The empty source has no polarity field; it is read in the
+        polarized setting of its target."""
+        tmp, write = workdir
+        doc = {"source": {"nodes": [], "edges": []}, "target": _POLARIZED_HOST, "nodes": {}, "edges": {}}
+        assert main(["complement", "--m", write("m.json", doc)]) == 0
+        comp, incl = strict_complement(parse_morphism(doc), GRPOL)
+        assert comp == parse_graph(_POLARIZED_HOST)
+        assert capsys.readouterr().out == dumps({"complement": comp, "inclusion": incl})
 
 
 class TestLaws:

@@ -14,7 +14,6 @@ from agree import (
     PolarizedGraph,
     StructuralError,
     TypedGraph,
-    carrier,
     compose,
     identity,
     pol_forget,
@@ -24,6 +23,7 @@ from agree import (
     typed_over,
     validate_morphism,
 )
+from agree.core import belongs
 
 
 @st.composite
@@ -59,7 +59,75 @@ def morphisms(draw):
     return Morphism(Graph.build(nodes, edges), target, nodemap, edgemap)
 
 
+_EDGE = Graph.build(["a", "b"], {"e": ("a", "b")})
+_TYPES = Graph.build(["t", "u"], {"tu": ("t", "u")})
+_PLUS, _MINUS = frozenset("+"), frozenset("-")
+
+# Label columns and type graph that ``Graph`` refuses on the carrier ``_EDGE``,
+# one per invariant of a setting, with the refusal's message.
+REFUSED_LABELS = {
+    "node types not total": ({"a": "t"}, {"e": "tu"}, _TYPES, "the node labels must be defined on exactly the nodes"),
+    "edge types not total": ({"a": "t", "b": "u"}, {}, _TYPES, "the edge labels must be defined on exactly the edges"),
+    "capabilities not total": ({"a": _PLUS}, None, None, "the node labels must be defined on exactly the nodes"),
+    "edge labels without a type graph": ({"a": "t", "b": "u"}, {"e": "tu"}, None, "edge labels need a type graph"),
+    "node type outside the type graph": ({"a": "t", "b": "v"}, {"e": "tu"}, _TYPES, "node 'b' has unknown type 'v'"),
+    "edge type outside the type graph": ({"a": "t", "b": "u"}, {"e": "ut"}, _TYPES, "edge 'e' has unknown type 'ut'"),
+    "edge type whose ends do not fit": ({"a": "u", "b": "t"}, {"e": "tu"}, _TYPES,
+                                        "edge 'e' type 'tu' does not match its endpoint types"),
+    "a label that is not a capability set": ({"a": frozenset("x"), "b": _MINUS}, None, None,
+                                             "node 'a' has label frozenset({'x'}), not a set of capabilities"),
+    "edge leaving a node without +": ({"a": _MINUS, "b": _MINUS}, None, None,
+                                      "edge 'e' leaves node 'a' without + polarity"),
+    "edge entering a node without -": ({"a": _PLUS, "b": _PLUS}, None, None,
+                                       "edge 'e' enters node 'b' without - polarity"),
+}
+
+
+def _over(typegraph):
+    return Graph.build(["a"], {"e": ("a", "a")}, {"a": "t"}, {"e": "tt"}, typegraph)
+
+
+def _loop_types(*nodes):
+    return Graph.build(nodes, {"tt": ("t", "t")})
+
+
+# Pairs of graphs and whether they are equal: polarized graphs by carrier and
+# capability sets, typed graphs by carrier, types and type graph, and the
+# empty graphs of the three settings pairwise unequal.
+EQUALITY = {
+    "same carrier and capabilities": (PolarizedGraph(_EDGE, {"a"}, {"b"}),
+                                      PolarizedGraph(Graph.build(["a", "b"], {"e": ("a", "b")}), {"a"}, {"b"}),
+                                      True),
+    "other capabilities": (PolarizedGraph(_EDGE, {"a"}, {"b"}), PolarizedGraph(_EDGE, {"a", "b"}, {"b"}), False),
+    "polarized and plain": (PolarizedGraph(_EDGE, {"a"}, {"b"}), _EDGE, False),
+    "equal type graphs": (_over(_loop_types("t")), _over(_loop_types("t")), True),
+    "other type graphs": (_over(_loop_types("t")), _over(_loop_types("t", "u")), False),
+    "empty plain and polarized": (Graph.build(), PolarizedGraph(Graph.build(), (), ()), False),
+    "empty plain and typed": (Graph.build(), Graph.build((), None, {}, {}, _TYPES), False),
+    "empty polarized and typed": (PolarizedGraph(Graph.build(), (), ()), Graph.build((), None, {}, {}, _TYPES), False),
+}
+
+
 class TestGraphInvariants:
+    @pytest.mark.parametrize("case", sorted(REFUSED_LABELS))
+    def test_labels_refused(self, case):
+        node_labels, edge_labels, typegraph, message = REFUSED_LABELS[case]
+        with pytest.raises(StructuralError) as refused:
+            Graph(_EDGE.nodes, _EDGE.src, _EDGE.tgt, node_labels, edge_labels, typegraph)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("case", sorted(EQUALITY))
+    def test_equality(self, case):
+        x, y, equal = EQUALITY[case]
+        assert (x == y) is equal and (y == x) is equal
+        # Each belongs to the instances of its own setting only.
+        for obj in (x, y):
+            instance = GR if obj.kind == "gr" else GRPOL if obj.kind == "grpol" else typed_over(obj.typegraph)
+            others = [GR, GRPOL, typed_over(_TYPES), typed_over(_loop_types("t"))]
+            assert belongs(obj, instance)
+            assert [other for other in others if belongs(obj, other)] == [
+                other for other in others if other == instance]
+
     def test_dangling_endpoint_rejected(self):
         with pytest.raises(StructuralError):
             Graph.build(["a"], {"e": ("a", "b")})
@@ -140,12 +208,12 @@ class TestPolarityFunctors:
     def test_induce_single_node(self):
         g = Graph.build(["a"])
         p = pol_induce(g)
-        assert p.nplus == frozenset(["a"]) and p.nminus == frozenset(["a"])
+        assert p.node_labels == {"a": frozenset(["+", "-"])}
 
     def test_minimal_on_an_edge(self):
         g = Graph.build(["a", "b"], {"e": ("a", "b")})
         p = pol_minimal(g)
-        assert p.nplus == frozenset(["a"]) and p.nminus == frozenset(["b"])
+        assert p.node_labels == {"a": frozenset(["+"]), "b": frozenset(["-"])}
 
     @settings(max_examples=60, deadline=None)
     @given(graphs())
@@ -183,7 +251,7 @@ class TestComposition:
     @given(morphisms(), st.integers(0, 2))
     def test_composition_closure(self, f, extra):
         # extend the target by a couple of items, then embed: g . f stays valid
-        tg = carrier(f.target)
+        tg = f.target
         nodes = set(tg.nodes) | {f"pad{i}" for i in range(extra)}
         bigger = Graph(frozenset(nodes), dict(tg.src), dict(tg.tgt))
         g = Morphism(f.target, bigger, {x: x for x in tg.nodes}, {e: e for e in tg.src})

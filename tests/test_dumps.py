@@ -169,7 +169,6 @@ def test_hand_written_documents(doc):
 
 # -- graph objects: written from their columns ----------------------------------
 
-GRAPH_TYPES = (Graph, TypedGraph, PolarizedGraph)
 IDS = _AWKWARD | STRINGS
 
 
@@ -446,9 +445,9 @@ def test_fixture_command_documents(monkeypatch, tmp_path, capsys):
     write = agree.io.dumps
 
     def recording(doc):
-        graphs.extend(_objects_in(doc, GRAPH_TYPES))
+        graphs.extend(_objects_in(doc, Graph))
         arrows.extend(_objects_in(doc, Morphism))
-        if not isinstance(doc, GRAPH_TYPES):
+        if not isinstance(doc, Graph):
             docs.append(doc)
         return write(doc)
 

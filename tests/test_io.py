@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from agree import DocumentError, GR, Graph, Morphism, PolarizedGraph, carrier
+from agree import DocumentError, GR, Graph, Morphism, PolarizedGraph
 from agree.io import (
     dumps,
     export_dot,
@@ -148,7 +148,7 @@ class TestRuleDocs:
         rule, inst = parse_rule(page_copy_rule_doc())
         assert rule.mode == "AGREE"
         assert inst.kind == "typed"
-        assert len(carrier(rule.t.target).src) == 10
+        assert len(rule.t.target.src) == 10
 
     def test_rule_doc_round_trip(self):
         rule, inst = parse_rule(page_copy_rule_doc())

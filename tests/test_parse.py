@@ -183,7 +183,7 @@ def test_row_pass_that_finds_nothing_is_an_internal_error(monkeypatch):
     """The entry-by-entry pass runs only on a rejected document; if it finds
     no problem there, the two passes disagree, and that is not the
     document's fault."""
-    monkeypatch.setattr(agree.io, "_read_columns", lambda doc, typegraph: None)
+    monkeypatch.setattr(agree.io, "_read_columns", lambda doc, typegraph, polarized: None)
     with pytest.raises(StructuralError, match="column pass"):
         agree.io.parse_graph({"nodes": [], "edges": []})
     with pytest.raises(DocumentError):

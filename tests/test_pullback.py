@@ -13,7 +13,6 @@ from agree import (
     StructuralError,
     agree_step,
     bar,
-    carrier,
     fpbc,
     identity,
     is_pullback_square,
@@ -26,7 +25,7 @@ from agree.laws import _Gen, default_instance
 def oracle(f, g, instance):
     """``(apex, p1, p2)`` of the cospan ``f: X -> Z <- Y :g``, pairing every
     item of X with every item of Y in nested loops over sorted ids."""
-    gx, gy = carrier(f.source), carrier(g.source)
+    gx, gy = f.source, g.source
     node_ids = {}
     for x in sorted(gx.nodes):
         for y in sorted(gy.nodes):
@@ -48,10 +47,11 @@ def oracle(f, g, instance):
             return None
         return {pid: instance.meet(left[a], right[b]) for (a, b), pid in pair_ids.items()}
 
-    apex = instance.make(
-        Graph(frozenset(node_ids.values()), src, tgt),
+    apex = Graph(
+        frozenset(node_ids.values()), src, tgt,
         meets(f.source.node_labels, g.source.node_labels, node_ids),
         meets(f.source.edge_labels, g.source.edge_labels, edge_ids),
+        instance.typegraph,
     )
     p1 = Morphism(apex, f.source, {nid: x for (x, _), nid in node_ids.items()},
                   {eid: e for (e, _), eid in edge_ids.items()})
@@ -68,8 +68,8 @@ def assert_same_as_oracle(f, g, instance):
     pb = pullback(f, g, instance)
     apex, p1, p2 = oracle(f, g, instance)
     assert pb.apex == apex
-    assert list(carrier(pb.apex).src.items()) == list(carrier(apex).src.items())
-    assert list(carrier(pb.apex).tgt.items()) == list(carrier(apex).tgt.items())
+    assert list(pb.apex.src.items()) == list(apex.src.items())
+    assert list(pb.apex.tgt.items()) == list(apex.tgt.items())
     for labels, expected in ((pb.apex.node_labels, apex.node_labels),
                              (pb.apex.edge_labels, apex.edge_labels)):
         if expected is None:
@@ -85,7 +85,7 @@ def assert_same_as_oracle(f, g, instance):
 def assert_ends_share_node_names(obj):
     """Every edge end of ``obj`` is the very string its node set holds, not
     an equal copy."""
-    g = carrier(obj)
+    g = obj
     own = {x: x for x in g.nodes}
     assert all(own[x] is x for x in g.src.values())
     assert all(own[x] is x for x in g.tgt.values())
@@ -110,7 +110,7 @@ def test_generated_cospans_match_the_oracle(category):
         gen = _Gen(random.Random(f"pullback/{seed}"), (4, 5), inst)
         for f, g in _generated_cospans(gen):
             pb = assert_same_as_oracle(f, g, inst)
-            items += len(carrier(pb.apex).nodes) + len(carrier(pb.apex).src)
+            items += len(pb.apex.nodes) + len(pb.apex.src)
     # The comparison is not vacuous: the apexes are not all empty.
     assert items > 100
 
@@ -124,13 +124,13 @@ def test_polarized_fpbc_pullback_matches_the_oracle():
         gen = _Gen(random.Random(f"pullback/pol/{seed}"), (4, 5), inst)
         l, m = gen.fpbc_pair()
         pb = assert_same_as_oracle(bar(m, inst), t_morphism(l, inst), inst)
-        items += len(carrier(pb.apex).nodes)
+        items += len(pb.apex.nodes)
     assert items > 20
 
 
 def _missed(f, g):
     """How many items of ``g``'s source have an image ``f`` never hits."""
-    gy = carrier(g.source)
+    gy = g.source
     nodes, edges = set(f.nodemap.values()), set(f.edgemap.values())
     return (sum(g.nodemap[y] not in nodes for y in gy.nodes)
             + sum(g.edgemap[d] not in edges for d in gy.src))
@@ -149,7 +149,7 @@ def test_small_left_foot_against_a_large_right_foot(category):
         rule = gen.span_rule()
         m = gen.match_onto(rule.lhs, extra_nodes=30, extra_edges=60)
         g = agree_step(rule, m, inst).g
-        assert len(carrier(g.source).nodes) > 5 * len(carrier(m.source).nodes)
+        assert len(g.source.nodes) > 5 * len(m.source.nodes)
         assert_same_as_oracle(m, g, inst)
         assert_same_as_oracle(g, m, inst)
         assert_same_as_oracle(m, identity(m.target), inst)
@@ -191,7 +191,7 @@ def test_right_foot_items_the_left_never_hits():
                  {d: by_ends[(gmap[s], gmap[t])] for d, (s, t) in edges.items()})
     pb = assert_same_as_oracle(f, g, inst)
     assert_same_as_oracle(g, f, inst)
-    assert len(carrier(pb.apex).nodes) == 3 * 10 and carrier(pb.apex).src
+    assert len(pb.apex.nodes) == 3 * 10 and pb.apex.src
     assert _missed(f, g) > 10
 
 

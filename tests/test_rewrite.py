@@ -17,7 +17,6 @@ from agree import (
     agree_rule,
     agree_step,
     bar,
-    carrier,
     complement_of_square,
     compose,
     enumerate_matches,
@@ -73,7 +72,7 @@ def outgoing_clone_rule():
 
 
 def edge_multiset(obj):
-    g = carrier(obj)
+    g = obj
     return sorted((g.src[e], g.tgt[e]) for e in g.src)
 
 
@@ -124,7 +123,7 @@ class TestAgreeStep:
         rule = agree_rule(identity(lhs), identity(lhs), identity(lhs), inst)
         host = elems(["x", "y", "z"])
         tr = agree_step(rule, Morphism(lhs, host, {"x": "x"}, {}), inst)
-        assert len(carrier(tr.result).nodes) == 1
+        assert len(tr.result.nodes) == 1
         assert not is_local_rule(rule, inst)
         assert not is_local_step(tr, inst)
 
@@ -147,7 +146,7 @@ class TestAgreeStep:
             assert validate_morphism(tr.n, GR).is_mono_in_M
             assert compose(tr.h, tr.n) == compose(tr.p, rule.r)
             # the mediating embedding pairs match image with embedding image
-            for k in carrier(rule.interface).nodes:
+            for k in rule.interface.nodes:
                 pair = f"({m.nodemap[rule.l.nodemap[k]]},{rule.t.nodemap[k]})"
                 assert tr.n.nodemap[k] == pair
 
@@ -211,12 +210,12 @@ class TestFpbc:
     def test_deletion_drops_incident_edges(self):
         empty = Graph.build([])
         fp = fpbc(Morphism(empty, POINT, {}, {}), MATCH_V, GR)
-        d = carrier(fp.context)
+        d = fp.context
         assert len(d.nodes) == 2 and not d.src
 
     def test_clone_copies_all_incident_edges(self):
         fp = fpbc(CLONE_L, MATCH_V, GR)
-        d = carrier(fp.context)
+        d = fp.context
         assert len(d.nodes) == 4 and len(d.src) == 4
         expected = Graph.build(
             ["a", "v", "c", "b"],
@@ -233,7 +232,7 @@ class TestFpbc:
 
     def test_verify_rejects_padded_context(self):
         fp = fpbc(CLONE_L, MATCH_V, GR)
-        d = carrier(fp.context)
+        d = fp.context
         padded = Graph(d.nodes | {"ghost"}, dict(d.src), dict(d.tgt))
         n2 = Morphism(fp.n.source, padded, dict(fp.n.nodemap), dict(fp.n.edgemap))
         a2 = Morphism(padded, FIG_HOST, dict(fp.a.nodemap, ghost="a"), dict(fp.a.edgemap))
@@ -243,7 +242,7 @@ class TestFpbc:
 
     def test_verify_rejects_padding_over_matched_part(self):
         fp = fpbc(CLONE_L, MATCH_V, GR)
-        d = carrier(fp.context)
+        d = fp.context
         padded = Graph(d.nodes | {"ghost"}, dict(d.src), dict(d.tgt))
         n2 = Morphism(fp.n.source, padded, dict(fp.n.nodemap), dict(fp.n.edgemap))
         a2 = Morphism(padded, FIG_HOST, dict(fp.a.nodemap, ghost="v"), dict(fp.a.edgemap))
@@ -264,9 +263,9 @@ class TestFpbc:
 
     def test_two_complements_related_by_unique_iso(self):
         fp = fpbc(CLONE_L, MATCH_V, GR)
-        relabled = {n: f"r_{n}" for n in carrier(fp.context).nodes}
-        redges = {e: f"r_{e}" for e in carrier(fp.context).src}
-        d = carrier(fp.context)
+        relabled = {n: f"r_{n}" for n in fp.context.nodes}
+        redges = {e: f"r_{e}" for e in fp.context.src}
+        d = fp.context
         other = Graph(frozenset(relabled.values()),
                       {redges[e]: relabled[d.src[e]] for e in d.src},
                       {redges[e]: relabled[d.tgt[e]] for e in d.src})
@@ -300,7 +299,7 @@ class TestPsqpo:
         rule = psqpo_rule(CLONE_L, identity(TWO_COPIES), ["k0"], ["k0"])
         tr = psqpo_step(rule, MATCH_V)
         degree = {}
-        h = carrier(tr.result)
+        h = tr.result
         copy = tr.p.nodemap["k1"]
         for e in h.src:
             degree[h.src[e]] = degree.get(h.src[e], 0) + 1
@@ -330,7 +329,7 @@ class TestPsqpo:
             assert tr.m_bar == fresh
             assert list(tr.m_bar.nodemap.items()) == list(fresh.nodemap.items())
             assert list(tr.m_bar.edgemap.items()) == list(fresh.edgemap.items())
-            assert len(carrier(m.target).nodes) >= 200
+            assert len(m.target.nodes) >= 200
 
     def test_mode_is_checked(self):
         with pytest.raises(RuleError):
@@ -350,13 +349,13 @@ class TestPsqpo:
                 rule = gen.psqpo_rule()
                 extra = gen.rng.randint(0, 6), gen.rng.randint(0, 12)
                 cases.append((rule, gen.match_onto(rule.lhs, extra_nodes=extra[0], extra_edges=extra[1])))
-        assert sum(len(carrier(m.target).nodes) > len(carrier(m.source).nodes) for _, m in cases) > 200
+        assert sum(len(m.target.nodes) > len(m.source.nodes) for _, m in cases) > 200
         for rule, m in cases:
             polar, plain = psqpo_step(rule, m), agree_step(rule, m, GR)
             assert dumps(plain.result) == dumps(polar.result)
             assert dumps(trace_doc(plain)) == dumps(trace_doc(polar))
             assert export_dot(plain) == export_dot(polar)
-            d_plain, d_polar = carrier(plain.context), carrier(polar.context)
+            d_plain, d_polar = plain.context, polar.context
             assert list(d_plain.src.items()) == list(d_polar.src.items())
             assert list(d_plain.tgt.items()) == list(d_polar.tgt.items())
             arrows = zip(trace_doc(plain)["arrows"].items(), trace_doc(polar)["arrows"].items())
@@ -369,7 +368,7 @@ class TestPsqpo:
 class TestStrictComplement:
     def test_of_identity_is_empty(self):
         comp, _ = strict_complement(identity(FIG_HOST), GR)
-        assert not carrier(comp).nodes
+        assert not comp.nodes
 
     def test_of_empty_is_everything(self):
         empty = Graph.build([])
@@ -379,15 +378,15 @@ class TestStrictComplement:
 
     def test_interior_node_takes_incident_edges_with_it(self):
         comp, incl = strict_complement(MATCH_V, GR)
-        assert carrier(comp).nodes == frozenset(["a", "b"])
-        assert not carrier(comp).src
+        assert comp.nodes == frozenset(["a", "b"])
+        assert not comp.src
         assert validate_morphism(incl, GR).is_mono_in_M
 
     def test_polarized_complement_keeps_capabilities(self):
         host = PolarizedGraph(FIG_HOST, frozenset(["a", "v"]), frozenset(["v", "b"]))
         lhs = PolarizedGraph(POINT, frozenset(["x"]), frozenset(["x"]))
         comp, _ = strict_complement(Morphism(lhs, host, {"x": "v"}, {}), GRPOL)
-        assert comp.nplus == frozenset(["a"]) and comp.nminus == frozenset(["b"])
+        assert comp.node_labels == {"a": frozenset(["+"]), "b": frozenset(["-"])}
 
 
 class TestComplementOfSquare:
@@ -414,8 +413,8 @@ class TestComplementOfSquare:
         host = elems(["x", "y", "z"])
         tr = agree_step(rule, Morphism(lhs, host, {"x": "x"}, {}), inst)
         arrow = complement_of_square(tr.n, tr.rule.l, tr.match, tr.g, inst)
-        assert not carrier(arrow.source).nodes
-        assert carrier(arrow.target).nodes == frozenset(["y", "z"])
+        assert not arrow.source.nodes
+        assert arrow.target.nodes == frozenset(["y", "z"])
         assert not validate_morphism(arrow, inst).is_iso
 
 

@@ -13,7 +13,7 @@ import agree.catops
 import agree.laws
 import agree.rewrite
 import fpbc_reference
-from agree import Graph, Morphism, agree_step, carrier, fpbc
+from agree import Graph, Morphism, agree_step, fpbc
 from agree.catops import is_pullback_square as decide
 from agree.laws import LAWS, _Gen, default_instance, run_law
 
@@ -50,8 +50,8 @@ def _into_large_host(gen, lhs, inst):
     400 more edges, drawn as ``_Gen.match_onto`` draws them, with the
     possible ends of each edge label looked up once."""
     rng = gen.rng
-    m = gen.match_onto(lhs, extra_nodes=200 - len(carrier(lhs).nodes), extra_edges=0)
-    host = carrier(m.target)
+    m = gen.match_onto(lhs, extra_nodes=200 - len(lhs.nodes), extra_edges=0)
+    host = m.target
     nodes = sorted(host.nodes)
     src, tgt = dict(host.src), dict(host.tgt)
     edge_labels = None if m.target.edge_labels is None else dict(m.target.edge_labels)
@@ -64,7 +64,7 @@ def _into_large_host(gen, lhs, inst):
             src[f"gxe{i}"], tgt[f"gxe{i}"] = rng.choice(srcs), rng.choice(tgts)
             if edge_labels is not None:
                 edge_labels[f"gxe{i}"] = label
-    host = inst.make(Graph(host.nodes, src, tgt), m.target.node_labels, edge_labels)
+    host = Graph(host.nodes, src, tgt, m.target.node_labels, edge_labels, inst.typegraph)
     return Morphism(lhs, host, m.nodemap, m.edgemap)
 
 
@@ -88,13 +88,13 @@ def _step_squares(category):
 
 
 def _with_apex(p, q, inst, nodes, src, tgt, node_labels, edge_labels, pn, pe, qn, qe):
-    apex = inst.make(Graph(frozenset(nodes), src, tgt), node_labels, edge_labels)
+    apex = Graph(frozenset(nodes), src, tgt, node_labels, edge_labels, inst.typegraph)
     return Morphism(apex, p.target, pn, pe), Morphism(apex, q.target, qn, qe)
 
 
 def _parts(p, q):
     apex = p.source
-    g = carrier(apex)
+    g = apex
     labels = [None if ls is None else dict(ls) for ls in (apex.node_labels, apex.edge_labels)]
     return (set(g.nodes), dict(g.src), dict(g.tgt), *labels,
             dict(p.nodemap), dict(p.edgemap), dict(q.nodemap), dict(q.edgemap))
@@ -215,7 +215,7 @@ def test_law_squares_and_their_mutants(category, monkeypatch):
 @pytest.mark.parametrize("category", SETTINGS)
 def test_step_squares_and_their_mutants(category):
     squares = list(_step_squares(category))
-    assert all(len(carrier(m.target).nodes) == 200 for _, _, m, _, _ in squares)
+    assert all(len(m.target.nodes) == 200 for _, _, m, _, _ in squares)
     assert _answers(squares) == _expected(category)
 
 

@@ -21,7 +21,6 @@ from agree import (
     PreconditionError,
     StructuralError,
     bar,
-    carrier,
     default_instance,
     phi,
     pullback,
@@ -75,7 +74,7 @@ def generated_arrows(gen, instance):
 
 def mutants(f):
     """``(what, nodemap, edgemap)``: ``f``'s maps, broken one way each."""
-    tg = carrier(f.target)
+    tg = f.target
     nm, em = f.nodemap, f.edgemap
     xs, es = list(nm), list(em)
     some_node = min(tg.nodes, default="ghost")

@@ -13,7 +13,6 @@ from agree.core import (
     CategoryInstance,
     Morphism,
     MorphismReport,
-    carrier,
     derived,
     require_object,
 )
@@ -21,7 +20,7 @@ from agree.errors import StructuralError
 
 
 def _structural_check(f: Morphism):
-    sg, tg = carrier(f.source), carrier(f.target)
+    sg, tg = f.source, f.target
     for x in f.nodemap:
         if x not in sg.nodes:
             raise StructuralError(f"nodemap mentions unknown source node {x!r}")
@@ -70,7 +69,7 @@ def validate_morphism(f: Morphism, instance: CategoryInstance) -> MorphismReport
 
 
 def _report(f: Morphism, leq) -> MorphismReport:
-    sg, tg = carrier(f.source), carrier(f.target)
+    sg, tg = f.source, f.target
 
     problems = []
     preserved = False
