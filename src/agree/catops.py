@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import filterfalse, repeat
 from typing import Iterator, NamedTuple, Optional
 
 from .core import (
@@ -238,6 +238,11 @@ def _host_index(graph: Graph, node_labels, edge_labels) -> _Host:
                  Counter(graph.src.values()), Counter(graph.tgt.values()))
 
 
+# A slot not filled yet: an image not bound, a fit not built.  Host ids may
+# be any hashable and a fit may be ``None``, so neither can mark it.
+_UNBOUND = object()
+
+
 def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterator[tuple]:
     """``(nodemap, edgemap)`` of every map from the pattern ``gx``, labelled
     ``xl``/``xe``, into ``host`` whose labels are ``order``-below their
@@ -250,76 +255,123 @@ def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterat
     before it draws its candidates from that node's host neighbours.  Only
     partial maps without a completion are cut, so the output is that of
     the plain product search.
+
+    The search is one generator frame over a stack of candidate
+    iterators, one level per pattern node, then one per pattern edge.
+    Each map is found when it is asked for: a caller that stops reading
+    stops the search.
     """
-    xs = sorted(gx.nodes)
+    xs, es = sorted(gx.nodes), sorted(gx.src)
+    n, depth = len(xs), len(xs) + len(es)
     yl, ye, between = host.node_labels, host.edge_labels, host.between
-    out_x, in_x = (Counter(gx.src.values()), Counter(gx.tgt.values())) if injective else ({}, {})
-    out_y, in_y = host.out_degree, host.in_degree
-
-    # Per pattern node: the edges checked when it is bound, as (src, tgt,
-    # label), and the earlier neighbours it can draw candidates from, as
-    # (neighbour, host adjacency to read at the neighbour's image).
     rank = {x: i for i, x in enumerate(xs)}
-    checks = {x: [] for x in xs}
-    anchors = {x: [] for x in xs}
-    es = sorted(gx.src)
-    ends = [(gx.src[e], gx.tgt[e], None if xe is None else xe[e]) for e in es]
+    ends = [(rank[gx.src[e]], rank[gx.tgt[e]], None if xe is None else xe[e]) for e in es]
+
+    # The plan of each node level, from the pattern alone: the earlier
+    # neighbours it draws its candidates from, as (rank, host adjacency to
+    # read at that rank's image), and the edges it closes, as (src rank,
+    # tgt rank, label).  A sole anchor's adjacency holds every unlabelled
+    # edge between it and the level, so those need no check.
+    anchors = [{} for _ in xs]
+    checks = [[] for _ in xs]
     for s, t, label in ends:
-        later, earlier, adjacency = (t, s, host.succ) if rank[t] >= rank[s] else (s, t, host.pred)
-        checks[later].append((s, t, label))
+        later, earlier, adjacency = (t, s, host.succ) if t >= s else (s, t, host.pred)
+        if (s, t, label) not in checks[later]:
+            checks[later].append((s, t, label))
         if earlier != later:
-            anchors[later].append((earlier, adjacency))
+            anchors[later][earlier, t >= s] = earlier, adjacency
+    anchors = [list(near.values()) for near in anchors]
+    for near, closed in zip(anchors, checks):
+        if len(near) == 1:
+            closed[:] = [(s, t, label) for s, t, label in closed if label is not None or s == t]
+    if injective:
+        out_x, in_x = Counter(gx.src.values()), Counter(gx.tgt.values())
+        out_y, in_y = host.out_degree, host.in_degree
 
-    def fits(x, y):
-        return ((xl is None or order(xl[x], yl[y]))
-                and not (injective and (out_y[y] < out_x[x] or in_y[y] < in_x[x])))
+    def fitting(x):
+        """The sorted host nodes ``x`` fits by label and, for monos, by
+        degree; the host's own list if that is all of them."""
+        ys = host.nodes
+        if xl is not None:
+            label = xl[x]
+            ys = [y for y in ys if order(label, yl[y])]
+        if injective and out_x[x]:
+            ys = [y for y in ys if out_y[y] >= out_x[x]]
+        if injective and in_x[x]:
+            ys = [y for y in ys if in_y[y] >= in_x[x]]
+        return ys
 
-    free = {x: [y for y in host.nodes if fits(x, y)] for x in xs if not anchors[x]}
-
-    def candidates(x, nodemap):
-        if not anchors[x]:
-            return free[x]
-        near = min((adjacency.get(nodemap[u], ()) for u, adjacency in anchors[x]), key=len)
-        return [y for y in near if fits(x, y)]
-
-    def edges_present(x, nodemap):
-        for s, t, label in checks[x]:
-            ds = between.get((nodemap[s], nodemap[t]))
-            if not ds or (label is not None and not any(order(label, ye[d]) for d in ds)):
-                return False
-        return True
-
-    def assign_edges(i, nodemap, edgemap, used_edges):
-        if i == len(es):
-            yield dict(nodemap), dict(edgemap)
-            return
-        e = es[i]
-        s, t, label = ends[i]
-        for d in between.get((nodemap[s], nodemap[t]), ()):
-            if (label is not None and not order(label, ye[d])) or (injective and d in used_edges):
+    # A node level's fit, built when the level is first reached: the
+    # sorted free list of an unanchored node, the set of an anchored one
+    # (``None`` if every host node fits).
+    fits = [_UNBOUND] * n
+    images, edge_images = [_UNBOUND] * n, [_UNBOUND] * len(es)
+    used, used_edges = set(), set()
+    if not depth:
+        yield {}, {}
+        return
+    # The candidate iterator of each level, made on entry under the images
+    # of the levels before it; ``None`` once the level is left exhausted.
+    stack = [None] * depth
+    level, last = 0, depth - 1
+    while level >= 0:
+        found = stack[level]
+        if level < n:
+            if found is None:
+                near, fit = anchors[level], fits[level]
+                if fit is _UNBOUND:
+                    fit = fitting(xs[level])
+                    if near:
+                        fit = None if fit is host.nodes else frozenset(fit)
+                    fits[level] = fit
+                if not near:
+                    found = iter(fit)
+                else:
+                    ys = (near[0][1].get(images[near[0][0]], ()) if len(near) == 1 else
+                          min((adjacency.get(images[u], ()) for u, adjacency in near), key=len))
+                    found = iter(ys) if fit is None else filter(fit.__contains__, ys)
+                if injective:
+                    found = filterfalse(used.__contains__, found)
+                stack[level] = found
+            elif injective:
+                used.discard(images[level])
+            for y in found:
+                images[level] = y
+                for s, t, label in checks[level]:
+                    ds = between.get((images[s], images[t]))
+                    if not ds or (label is not None
+                                  and not any(map(order, repeat(label), map(ye.__getitem__, ds)))):
+                        break
+                else:
+                    break
+            else:
+                stack[level] = None
+                level -= 1
                 continue
-            edgemap[e] = d
-            used_edges.add(d)
-            yield from assign_edges(i + 1, nodemap, edgemap, used_edges)
-            used_edges.discard(d)
-            del edgemap[e]
-
-    def assign_nodes(i, nodemap, used):
-        if i == len(xs):
-            yield from assign_edges(0, nodemap, {}, set())
-            return
-        x = xs[i]
-        for y in candidates(x, nodemap):
-            if injective and y in used:
-                continue
-            nodemap[x] = y
-            if edges_present(x, nodemap):
+            if injective:
                 used.add(y)
-                yield from assign_nodes(i + 1, nodemap, used)
-                used.discard(y)
-            del nodemap[x]
-
-    yield from assign_nodes(0, {}, set())
+        else:
+            j = level - n
+            s, t, label = ends[j]
+            if found is None:
+                ds = between.get((images[s], images[t]), ())
+                found = stack[level] = filterfalse(used_edges.__contains__, ds) if injective else iter(ds)
+            elif injective:
+                used_edges.discard(edge_images[j])
+            for d in found:
+                if label is None or order(label, ye[d]):
+                    break
+            else:
+                stack[level] = None
+                level -= 1
+                continue
+            edge_images[j] = d
+            if injective:
+                used_edges.add(d)
+        if level == last:
+            yield dict(zip(xs, images)), dict(zip(es, edge_images))
+        else:
+            level += 1
 
 
 def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
@@ -332,14 +384,23 @@ def _enumerate(obj_x, obj_y, *, injective: bool, order) -> Iterator[Morphism]:
 
 
 def enumerate_morphisms(x, y, instance: CategoryInstance) -> Iterator[Morphism]:
-    """All instance-valid morphisms ``x -> y`` in a deterministic order."""
+    """All instance-valid morphisms ``x -> y`` in a deterministic order.
+
+    Lazy: each morphism is found when it is read, so a caller that stops
+    reading stops the search there.
+    """
     require_object(x, instance)
     require_object(y, instance)
     return _enumerate(x, y, injective=False, order=instance.leq)
 
 
 def enumerate_monos(x, y, instance: CategoryInstance) -> Iterator[Morphism]:
-    """All admissible monos ``x -> y``: injective and label-preserving."""
+    """All admissible monos ``x -> y``: injective and label-preserving.
+
+    Lazy: each mono is found when it is read, so a caller that stops
+    reading stops the search there; ``agree apply --match-index k``
+    searches only as far as the k-th match.
+    """
     require_object(x, instance)
     require_object(y, instance)
     return _enumerate(x, y, injective=True, order=operator.eq)
@@ -349,7 +410,9 @@ def iso_search(x, y, instance: CategoryInstance) -> Optional[Morphism]:
     """An instance-valid isomorphism ``x -> y`` if one exists, else ``None``.
 
     Deterministic for fixed inputs: the backtracking explores candidates in
-    sorted id order and returns the first hit.
+    sorted id order and returns the first hit, where the search stops;
+    objects with many isos (a k-edge parallel bundle has k!) cost no more
+    than the path to the first.
     """
     require_object(x, instance)
     require_object(y, instance)

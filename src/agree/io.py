@@ -194,6 +194,7 @@ def _graph_text(obj, newline: str) -> Optional[str]:
         tgt_texts = list(map(node_text, map(tgt.__getitem__, eids)))
     except KeyError:
         return None
+    typed = obj.kind == "typed"
     node_columns = [("id", node_texts)]
     edge_columns = [("id", map(_encode_str, eids)), ("src", src_texts), ("tgt", tgt_texts)]
     for columns, ids, labels in ((node_columns, nids, obj.node_labels), (edge_columns, eids, obj.edge_labels)):
@@ -206,7 +207,7 @@ def _graph_text(obj, newline: str) -> Optional[str]:
         # Labels are names of the type graph's items or capability sets, so
         # they are hashable, and each distinct one is encoded once.
         distinct = set(column)
-        if isinstance(next(iter(labels.values())), str):
+        if typed:
             if not _strings(distinct):
                 return None
             field, texts = "type", {label: _encode_str(label) for label in distinct}
@@ -225,16 +226,17 @@ def _graph_text(obj, newline: str) -> Optional[str]:
 def graph_doc(obj) -> dict:
     """Serialize a graph of any setting to a GraphDoc.
 
-    A label map holds labels of one kind, so its first label chooses the
-    field for all its entries: a type is a name, polarity a list of
-    capabilities."""
+    The graph's setting chooses the label field: a typed graph's labels
+    are written as ``type``, whatever their ids are, a polarized graph's
+    as ``polarity``, a list of capabilities."""
     nodes = [{"id": n} for n in sorted(obj.nodes)]
     src, tgt = obj.src, obj.tgt
     edges = [{"id": e, "src": src[e], "tgt": tgt[e]} for e in sorted(src)]
+    typed = obj.kind == "typed"
     for entries, labels in ((nodes, obj.node_labels), (edges, obj.edge_labels)):
         if not labels:
             continue
-        if isinstance(next(iter(labels.values())), str):
+        if typed:
             for entry in entries:
                 entry["type"] = labels[entry["id"]]
         else:

@@ -247,10 +247,13 @@ def test_hand_written_graph_objects(name):
 
 def test_non_string_graphs_fall_back():
     """The non-string graphs reach ``graph_doc``'s text or its error, and
-    the two that ``json`` can write keep their non-string ids."""
+    the three that ``json`` can write keep their non-string ids and types:
+    a typed graph's labels are types whatever their ids are."""
     texts = {name: outcome(dumps, obj) for name, obj in NON_STRING_GRAPHS.items()}
-    assert texts["mixed node ids"] is TypeError and texts["int types"] is KeyError
+    assert texts["mixed node ids"] is TypeError
     assert '"id": 1' in texts["int ids"] and '"src": 1' in texts["polarized int ids"]
+    assert '"type": 0' in texts["int types"] and '"type": 1' in texts["int types"]
+    assert "polarity" not in texts["int types"]
 
 
 # -- morphisms: written from their maps -------------------------------------------

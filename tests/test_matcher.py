@@ -3,7 +3,9 @@ search, and the same node maps as networkx's monomorphism matcher."""
 
 import operator
 import random
+import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -15,9 +17,12 @@ from agree import (
     enumerate_matches,
     enumerate_monos,
     enumerate_morphisms,
+    iso_search,
     typed_over,
 )
+from agree.catops import _host_index, _search
 from agree.laws import _Gen, default_instance
+from search_reference import _search as reference_search
 
 
 def oracle(obj_x, obj_y, *, injective, order):
@@ -259,3 +264,80 @@ def test_node_maps_agree_with_networkx(pattern, typed):
         assert ours == theirs
         found += len(ours)
     assert found > 0
+
+
+# -- differential: the recursive search on hosts of realistic size -------------
+
+# Patterns over nodes typed A/B as in PATTERNS; "two anchors" binds "c" next
+# to both "a" (a successor) and "b" (a predecessor), "in star" to both as
+# successors, so "c" draws from the smaller of two adjacency lists.
+LARGE_PATTERNS = {
+    **PATTERNS,
+    "two anchors": ({"ac": ("a", "c"), "cb": ("c", "b")}, {"a": "A", "b": "B", "c": "A"}),
+    "in star": ({"ac": ("a", "c"), "bc": ("b", "c")}, {"a": "A", "b": "A", "c": "A"}),
+}
+
+
+def _polarized(graph, rng):
+    """``graph`` with the capabilities its edges need and, at random, more."""
+    caps = {x: set(rng.choice(["", "+", "-", "+-"])) for x in sorted(graph.nodes)}
+    for e in graph.src:
+        caps[graph.src[e]].add("+")
+        caps[graph.tgt[e]].add("-")
+    return Graph(graph.nodes, graph.src, graph.tgt, {x: frozenset(c) for x, c in caps.items()})
+
+
+def _in_setting(setting, graph, node_types, rng):
+    if setting == "typed":
+        return _typed(typed_over(TYPEGRAPH), graph, node_types)
+    if setting == "pol":
+        return _polarized(graph, rng)
+    return graph
+
+
+def _listed(search, host, pattern, *, injective, order):
+    """The search's maps with their dicts' insertion order."""
+    return [(list(nodemap.items()), list(edgemap.items())) for nodemap, edgemap in
+            search(host, pattern, pattern.node_labels, pattern.edge_labels, injective=injective, order=order)]
+
+
+@pytest.mark.parametrize("setting", ["gr", "typed", "pol"])
+@pytest.mark.parametrize("pattern", sorted(LARGE_PATTERNS))
+def test_search_matches_the_recursive_search_on_large_hosts(pattern, setting):
+    """The one-frame search lists the maps of the recursive search it
+    replaced, in its order, on 100-node, 300-edge hosts."""
+    inst = {"gr": GR, "typed": typed_over(TYPEGRAPH), "pol": GRPOL}[setting]
+    edges, pattern_types = LARGE_PATTERNS[pattern]
+    found = Counter()
+    for seed in range(2):
+        rng = random.Random(f"large/{pattern}/{setting}/{seed}")
+        lhs = _in_setting(setting, Graph.build(sorted(pattern_types), edges), pattern_types, rng)
+        host_types = {f"n{i:02d}": rng.choice("AB") for i in range(100)}
+        host = _random_host(rng, 100, 300, host_types if setting == "typed" else None)
+        host = _in_setting(setting, host, host_types, rng)
+        index = _host_index(host, host.node_labels, host.edge_labels)
+        for injective, order in ((True, operator.eq), (False, inst.leq)):
+            ours = _listed(_search, index, lhs, injective=injective, order=order)
+            assert ours == _listed(reference_search, index, lhs, injective=injective, order=order)
+            found[injective] += len(ours)
+    # Both searches find maps; every mono is among the morphisms.
+    assert found[True] > 0 and found[False] >= found[True]
+
+
+# -- laziness ----------------------------------------------------------------------
+
+def test_search_is_lazy_on_a_bundle_with_factorially_many_isos():
+    """A 9-edge parallel bundle has 9! = 362,880 isos onto itself; taking
+    the first few, or the first iso, must not list the rest."""
+    bundle = Graph.build(["a", "b"], {f"e{i}": ("a", "b") for i in range(9)})
+    identity = ({"a": "a", "b": "b"}, {e: e for e in bundle.src})
+    for first in (lambda: list(islice(enumerate_monos(bundle, bundle, GR), 3))[0],
+                  lambda: iso_search(bundle, bundle, GR)):
+        tracemalloc.start()
+        try:
+            got = first()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert (got.nodemap, got.edgemap) == identity
