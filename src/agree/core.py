@@ -188,8 +188,8 @@ def PolarizedGraph(graph: Graph, nplus, nminus) -> Graph:
 class Morphism:
     """A pair of maps on node and edge ids between two objects.
 
-    Construction does not validate; run :func:`validate_morphism` or use the
-    construction helpers, which validate their outputs.
+    Construction does not validate; run :func:`validate_morphism`.  The
+    engine's constructions build their arrows valid by construction.
     """
 
     source: object

@@ -620,8 +620,8 @@ def _dot(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _label_text(label) -> str:
-    return f":{label}" if isinstance(label, str) else "".join(c for c in "+-" if c in label)
+def _label_text(label, typed: bool) -> str:
+    return f":{label}" if typed else "".join(c for c in "+-" if c in label)
 
 
 def _dot_attrs(item: str, text: Optional[str]) -> str:
@@ -633,12 +633,13 @@ def _dot_attrs(item: str, text: Optional[str]) -> str:
 
 def _graph_dot_lines(obj, prefix: str = "", indent: str = "  "):
     node_labels, edge_labels = obj.node_labels, obj.edge_labels
+    typed = obj.kind == "typed"  # the setting chooses the label text, as in graph_doc
     lines = []
     for n in sorted(obj.nodes):
-        text = None if node_labels is None else n + _label_text(node_labels[n])
+        text = None if node_labels is None else n + _label_text(node_labels[n], typed)
         lines.append(f"{indent}{_dot(prefix + n)}{_dot_attrs(n, text)};")
     for e in sorted(obj.src):
-        text = e if edge_labels is None else e + _label_text(edge_labels[e])
+        text = e if edge_labels is None else e + _label_text(edge_labels[e], typed)
         lines.append(f"{indent}{_dot(prefix + obj.src[e])} -> {_dot(prefix + obj.tgt[e])}{_dot_attrs(e, text)};")
     return lines
 

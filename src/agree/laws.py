@@ -34,6 +34,7 @@ from .core import (
 )
 from .errors import InvariantError, PreconditionError, UnknownLawError
 from .rewrite import (
+    _size_pair,
     Rule,
     agree_rule,
     agree_step,
@@ -79,14 +80,10 @@ class LawReport:
 
 
 def _norm_bound(size_bound) -> tuple:
+    """An integer ``n`` bounds nodes by ``n`` and edges by ``n + 1`` (0 if ``n`` is 0)."""
     if isinstance(size_bound, int):
-        bound = (size_bound, size_bound + 1 if size_bound else 0)
-    else:
-        nmax, emax = size_bound
-        bound = (int(nmax), int(emax))
-    if min(bound) < 0:
-        raise PreconditionError(f"size bounds must not be negative, got {bound}")
-    return bound
+        size_bound = (size_bound, size_bound + 1 if size_bound else 0)
+    return _size_pair(size_bound)
 
 
 def _pull(labels, mapping):
@@ -590,6 +587,8 @@ def run_law(law_id: str, seed: int = 0, size_bound=(4, 5), instance: CategoryIns
         raise PreconditionError(f"{law_id} runs over {names} graphs")
     bound = _norm_bound(size_bound)
     count = default_count if count is None else count
+    if not isinstance(count, int) or count < 0:
+        raise PreconditionError(f"a law runs over a non-negative number of instances, got {count!r}")
     gen = _Gen(random.Random(f"{law_id}/{seed}"), bound, instance)
 
     failures = 0

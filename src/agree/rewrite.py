@@ -199,8 +199,8 @@ def _second_phase(rule: Rule, m: Morphism, square: tuple, n: Morphism, instance:
     ``square``, its ``(g, f, apex, p1, p2)``, and the mediator ``n``: the
     pushout of ``n`` along ``rule.r`` and the step's trace.  It checks the
     two facts that no construction checks: the mediator factors the
-    embedding, and the left square is a pullback.  ``is_pullback_square``
-    and ``pushout_along_mono`` check the rest."""
+    embedding, and the left square is a pullback, which also validates
+    ``g``.  ``is_pullback_square`` and ``pushout_along_mono`` check the rest."""
     po = pushout_along_mono(n, rule.r, instance)
     trace = RewriteTrace(rule, m, *square, n, po.result, po.h, po.p, polarized)
     if compose(trace.n_prime, n) != rule.t:
@@ -306,13 +306,10 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
         raise PreconditionError("candidate complement square does not commute")
     gd = n.target
     if size_bound is None:
-        bound = (len(gd.nodes) + 1, len(gd.src) + 1)
+        size_bound = (len(gd.nodes) + 1, len(gd.src) + 1)
     elif isinstance(size_bound, int):
-        bound = (size_bound, size_bound)
-    else:
-        bound = (int(size_bound[0]), int(size_bound[1]))
-    if min(bound) < 0:
-        raise PreconditionError(f"size bounds must not be negative, got {bound}")
+        size_bound = (size_bound, size_bound)
+    bound = _size_pair(size_bound)
     node_bound, edge_bound = bound
 
     if not is_pullback_square(l, n, m, a, instance):
@@ -354,6 +351,17 @@ def fpbc_verify(l: Morphism, m: Morphism, n: Morphism, a: Morphism,
                     if witness is not None:
                         return FpbcReport(False, bound, cones, witness)
     return FpbcReport(True, bound, cones)
+
+
+def _size_pair(size_bound) -> tuple:
+    """A ``(nodes, edges)`` bound: a list or tuple of two non-negative ints."""
+    if not (isinstance(size_bound, (tuple, list)) and len(size_bound) == 2
+            and all(isinstance(b, int) for b in size_bound)):
+        raise PreconditionError(f"a size bound is an integer or a (nodes, edges) pair of integers, got {size_bound!r}")
+    bound = tuple(map(int, size_bound))
+    if min(bound) < 0:
+        raise PreconditionError(f"size bounds must not be negative, got {bound}")
+    return bound
 
 
 def _slot_permutations(copies, slots) -> list:

@@ -74,6 +74,23 @@ def test_negative_bound_is_refused(bound):
         fpbc_verify(l, m, fp.n, fp.a, instance, size_bound=bound)
 
 
+@pytest.mark.parametrize("bound", [(3,), (1, 2, 3), 2.5, "ab"])
+def test_malformed_bound_is_refused(bound):
+    instance = default_instance("gr")
+    l, m = _Gen(random.Random(0), (3, 3), instance).fpbc_pair()
+    fp = fpbc(l, m, instance)
+    with pytest.raises(PreconditionError, match="a size bound is an integer or a"):
+        fpbc_verify(l, m, fp.n, fp.a, instance, size_bound=bound)
+
+
+def test_integer_bound_bounds_nodes_and_edges_alike():
+    instance = default_instance("gr")
+    l, m = _Gen(random.Random(0), (3, 3), instance).fpbc_pair()
+    fp = fpbc(l, m, instance)
+    assert fpbc_verify(l, m, fp.n, fp.a, instance, size_bound=2).bound == (2, 2)
+    assert fpbc_verify(l, m, fp.n, fp.a, instance, size_bound=[2, 1]).bound == (2, 1)
+
+
 def _orbit_key(copies, edges):
     """The least form of a competitor under permutations of its copies
     inside each fibre."""

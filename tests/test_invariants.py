@@ -84,15 +84,33 @@ def phi_with_an_unabsorbed_node():
 def pushout_with_swapped_context_leg():
     """The leg from D sends the two glued nodes to each other's images: a
     valid morphism, but the square no longer commutes."""
-    checked = agree.catops._checked
+    arrow = agree.catops.Morphism
 
-    def swapping(instance, source, target, nodemap, edgemap):
+    def swapping(source, target, nodemap, edgemap):
         if source == CONTEXT:
             nodemap = _swapped(nodemap, "d0", "d1")
-        return checked(instance, source, target, nodemap, edgemap)
+        return arrow(source, target, nodemap, edgemap)
 
-    with mock.patch.object(agree.catops, "_checked", swapping):
+    with mock.patch.object(agree.catops, "Morphism", swapping):
         pushout_along_mono(INTO_CONTEXT, identity(COPIES), GR)
+
+
+def step_with_an_extra_context_node():
+    """Cloning v: the pullback's apex gains one node over v beyond the pairs.
+    The mediator still factors the embedding and lands in the apex, but the
+    left square is no longer a pullback."""
+    construct = pullback
+
+    def padded(f, g, instance):
+        pb = construct(f, g, instance)
+        over = {**pb.p1.nodemap, "extra": "v"}
+        star = {**pb.p2.nodemap, "extra": pb.p2.nodemap["(v,k0)"]}
+        apex = Graph(pb.apex.nodes | {"extra"}, pb.apex.src, pb.apex.tgt)
+        return Pullback(apex, Morphism(apex, pb.p1.target, over, pb.p1.edgemap),
+                        Morphism(apex, pb.p2.target, star, pb.p2.edgemap), pb.f, pb.g)
+
+    with mock.patch.object(agree.rewrite, "pullback", padded):
+        agree_step(CLONE, MATCH_V, GR)
 
 
 def complement_pulled_back_against_true():
@@ -112,6 +130,7 @@ SCENARIOS = [
     mediator_into_an_apex_without_the_edge_pair,
     phi_with_an_unabsorbed_node,
     pushout_with_swapped_context_leg,
+    step_with_an_extra_context_node,
     complement_pulled_back_against_true,
 ]
 
@@ -127,6 +146,12 @@ def test_broken_construction_raises_under_optimized_python(scenario):
     result = run_optimized(f"from test_invariants import {scenario.__name__}; {scenario.__name__}()")
     assert result.returncode != 0
     assert "agree.errors.InvariantError" in result.stderr, result.stderr
+
+
+def test_padded_apex_trips_the_left_square_check():
+    """``n' . n = t`` still holds, so only the left-square check can fire."""
+    with pytest.raises(InvariantError, match="the step's left square is not a pullback"):
+        step_with_an_extra_context_node()
 
 
 def test_unbroken_constructions_pass():

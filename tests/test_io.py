@@ -213,6 +213,11 @@ class TestDot:
         g = Graph.build(["b", "a"], {"e": ("a", "b")})
         assert export_dot(g) == export_dot(g)
 
+    def test_integer_types_are_written_as_types(self):
+        graph, typegraph = Graph.build(["a"], {"e": ("a", "a")}), Graph(frozenset({0}), {1: 0}, {1: 0})
+        typed = TypedGraph(graph, typegraph, Morphism(graph, typegraph, {"a": 0}, {"e": 1}))
+        assert export_dot(typed) == 'digraph G {\n  "a" [label="a:0"];\n  "a" -> "a" [label="e:1"];\n}\n'
+
 
 class TestTraceDocs:
     def test_trace_doc_structure(self):

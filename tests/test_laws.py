@@ -57,6 +57,11 @@ class TestGenerate:
         with pytest.raises(PreconditionError, match="must not be negative"):
             generate("graph", 0, bound)
 
+    @pytest.mark.parametrize("bound", [(3,), (1, 2, 3), "ab", None])
+    def test_malformed_bound_is_refused(self, bound):
+        with pytest.raises(PreconditionError, match="a size bound is an integer or a"):
+            generate("graph", 0, bound)
+
 
 class TestRunLaw:
     def test_unknown_law(self):
@@ -73,6 +78,21 @@ class TestRunLaw:
     def test_negative_bound_is_refused(self, bound):
         with pytest.raises(PreconditionError, match="must not be negative"):
             run_law("ETA_CARTESIAN", seed=0, size_bound=bound, instance=GR, count=1)
+
+    @pytest.mark.parametrize("bound", [(3,), (1, 2, 3), "ab", None, 2.5, (2.5, 3)])
+    def test_malformed_bound_is_refused(self, bound):
+        with pytest.raises(PreconditionError, match="a size bound is an integer or a"):
+            run_law("ETA_CARTESIAN", seed=0, size_bound=bound, instance=GR, count=1)
+
+    def test_integer_bound_bounds_edges_by_one_more(self):
+        assert run_law("ETA_CARTESIAN", seed=0, size_bound=3, count=0).size_bound == (3, 4)
+        assert run_law("ETA_CARTESIAN", seed=0, size_bound=0, count=0).size_bound == (0, 0)
+        assert run_law("ETA_CARTESIAN", seed=0, size_bound=[3, 5], count=0).size_bound == (3, 5)
+
+    @pytest.mark.parametrize("count", [-1, 2.5, "3"])
+    def test_malformed_count_is_refused(self, count):
+        with pytest.raises(PreconditionError, match="non-negative number of instances"):
+            run_law("ETA_CARTESIAN", seed=0, size_bound=(3, 3), instance=GR, count=count)
 
     def test_reports_are_deterministic(self):
         a = run_law("ETA_CARTESIAN", seed=5, size_bound=(3, 3), instance=GR, count=5)
