@@ -57,7 +57,10 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     Nodes are pairs ``(x,y)`` with equal images, edges likewise; a pair is
     labelled with the meet of its components' labels.  Pulling back an
     admissible mono yields an admissible mono.  Graph pullbacks are
-    componentwise, so the projections are valid by construction.
+    componentwise, so the projections are valid by construction.  A leg
+    whose maps the construction cannot read (an item without an image, an
+    edge whose ends are not paired) is refused by name; the legs are
+    validated only then, to word the refusal.
     """
     if f.target != g.target:
         raise PreconditionError("pullback needs a cospan: the two arrows must share their target")
@@ -65,18 +68,26 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     require_object(g.source, instance)
     gx, gy = f.source, g.source
 
-    node_x, node_y, node_names = _join(gx.nodes, gy.nodes, f.nodemap, g.nodemap)
-    edge_x, edge_y, edge_names = _join(gx.src, gy.src, f.edgemap, g.edgemap)
+    try:
+        node_x, node_y, node_names = _join(gx.nodes, gy.nodes, f.nodemap, g.nodemap)
+        edge_x, edge_y, edge_names = _join(gx.src, gy.src, f.edgemap, g.edgemap)
+        # An edge pair's ends are the pairs of its components' ends; the
+        # table hands back the apex node's own string for each pair.
+        node_of = dict(zip(zip(node_x, node_y), node_names))
+        xsrc, xtgt, ysrc, ytgt = gx.src, gx.tgt, gy.src, gy.tgt
+        src = {eid: node_of[xsrc[e], ysrc[d]] for eid, e, d in zip(edge_names, edge_x, edge_y)}
+        tgt = {eid: node_of[xtgt[e], ytgt[d]] for eid, e, d in zip(edge_names, edge_x, edge_y)}
+    except KeyError:
+        # Only legs that are not valid morphisms get here; say which.
+        for name, leg in (("first", f), ("second", g)):
+            rep = validate_morphism(leg, instance)
+            if not rep.valid:
+                raise PreconditionError(f"pullback requires valid legs: the {name} leg is not "
+                                        f"a valid morphism: {rep.problems}") from None
+        raise
     nodes = frozenset(node_names)
-    if len(nodes) != len(node_names) or len(set(edge_names)) != len(edge_names):
+    if len(nodes) != len(node_names) or len(src) != len(edge_names):
         raise StructuralError("pair naming collided; source ids embed ambiguous commas")
-
-    # An edge pair's ends are the pairs of its components' ends; the name
-    # table hands back the apex node's own string for each end's name.
-    node_of = dict(zip(node_names, node_names))
-    xsrc, xtgt, ysrc, ytgt = gx.src, gx.tgt, gy.src, gy.tgt
-    src = {eid: node_of[f"({xsrc[e]},{ysrc[d]})"] for eid, e, d in zip(edge_names, edge_x, edge_y)}
-    tgt = {eid: node_of[f"({xtgt[e]},{ytgt[d]})"] for eid, e, d in zip(edge_names, edge_x, edge_y)}
     apex = Graph(
         nodes, src, tgt,
         _meets(instance, gx.node_labels, gy.node_labels, node_x, node_y, node_names),
@@ -429,6 +440,13 @@ def is_pullback_square(p: Morphism, q: Morphism, f: Morphism, g: Morphism,
         rep = validate_morphism(arrow, instance)
         if not rep.valid:
             raise PreconditionError(f"square contains an invalid morphism: {rep.problems}")
+    return _is_pullback_by_fibres(p, q, f, g, instance)
+
+
+def _is_pullback_by_fibres(p: Morphism, q: Morphism, f: Morphism, g: Morphism,
+                           instance: CategoryInstance) -> bool:
+    """:func:`is_pullback_square` for four arrows known to be valid: checks
+    that they fit and commute, then counts fibres."""
     if p.source != q.source or p.target != f.source or q.target != g.source:
         raise PreconditionError("square arrows do not fit together")
     if compose(f, p) != compose(g, q):

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .catops import (
     _host_index,
+    _is_pullback_by_fibres,
     _search,
     enumerate_monos,
     is_pullback_square,
@@ -199,13 +200,17 @@ def _second_phase(rule: Rule, m: Morphism, square: tuple, n: Morphism, instance:
     ``square``, its ``(g, f, apex, p1, p2)``, and the mediator ``n``: the
     pushout of ``n`` along ``rule.r`` and the step's trace.  It checks the
     two facts that no construction checks: the mediator factors the
-    embedding, and the left square is a pullback, which also validates
-    ``g``.  ``is_pullback_square`` and ``pushout_along_mono`` check the rest."""
+    embedding, and the left square is a pullback.  The square's arrows are
+    valid already: ``phi`` checked ``l`` (a PSQPO step's ``phi`` checked
+    ``l̂``, which has ``l``'s maps), the step checked ``m``,
+    ``pushout_along_mono`` checked ``n``, and ``g`` is a projection of the
+    pullback.  So the square is not validated again: only its fit, its
+    commuting and its fibres are checked."""
     po = pushout_along_mono(n, rule.r, instance)
     trace = RewriteTrace(rule, m, *square, n, po.result, po.h, po.p, polarized)
     if compose(trace.n_prime, n) != rule.t:
         raise InvariantError("the mediator does not factor the embedding: n' . n != t")
-    if not is_pullback_square(rule.l, n, m, trace.g, instance):
+    if not _is_pullback_by_fibres(rule.l, n, m, trace.g, instance):
         raise InvariantError("the step's left square is not a pullback")
     return trace
 

@@ -49,14 +49,18 @@ def parse_graph_matches_reference(monkeypatch, request):
 
 @pytest.fixture(autouse=True)
 def squares_match_reference(monkeypatch):
-    """Every ``is_pullback_square`` call during a test, through any module's
-    binding, must give the answer (or raise the error) of the canonical
-    pullback construction in ``square_reference.py``."""
-    decide = agree.catops.is_pullback_square
+    """Every call during a test, through any module's binding, of
+    ``is_pullback_square`` or of the fibre test ``_is_pullback_by_fibres``
+    that it and every step's left-square check end in, must give the
+    answer (or raise the error) of the canonical pullback construction in
+    ``square_reference.py``.  The reference validates the four arrows, so
+    a fibre test called on an arrow that is not valid fails here."""
+    for name in ("is_pullback_square", "_is_pullback_by_fibres"):
+        decide = getattr(agree.catops, name)
 
-    def checked(*args):
-        return assert_same_answer(decide, *args)
+        def checked(*args, decide=decide):
+            return assert_same_answer(decide, *args)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__dict__", {}).get("is_pullback_square") is decide:
-            monkeypatch.setattr(module, "is_pullback_square", checked)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(name) is decide:
+                monkeypatch.setattr(module, name, checked)

@@ -11,7 +11,6 @@ from unittest import mock
 import pytest
 
 import agree.catops
-import agree.classifier
 import agree.rewrite
 from agree import (
     GR,
@@ -69,18 +68,6 @@ def mediator_into_an_apex_without_the_edge_pair():
     pullback_mediator(Pullback(nodes_only, pb.p1, pb.p2, pb.f, pb.g), identity(EDGE), identity(EDGE))
 
 
-def phi_with_an_unabsorbed_node():
-    absorb = agree.classifier._absorb
-
-    def dropping(*args):
-        nodes, edges = absorb(*args)
-        del nodes["a"]
-        return nodes, edges
-
-    with mock.patch.object(agree.classifier, "_absorb", dropping):
-        phi(identity(HOST), identity(HOST), GR)
-
-
 def pushout_with_swapped_context_leg():
     """The leg from D sends the two glued nodes to each other's images: a
     valid morphism, but the square no longer commutes."""
@@ -128,7 +115,6 @@ SCENARIOS = [
     step_with_a_swapped_mediator,
     mediator_into_an_apex_without_the_node_pair,
     mediator_into_an_apex_without_the_edge_pair,
-    phi_with_an_unabsorbed_node,
     pushout_with_swapped_context_leg,
     step_with_an_extra_context_node,
     complement_pulled_back_against_true,

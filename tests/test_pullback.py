@@ -10,6 +10,7 @@ from agree import (
     Graph,
     Morphism,
     PolarizedGraph,
+    PreconditionError,
     StructuralError,
     agree_step,
     bar,
@@ -226,6 +227,39 @@ def test_ambiguous_commas_collide():
     g = Morphism(y, z, {"c": "z", "b,c": "z"}, {})
     with pytest.raises(StructuralError, match="pair naming collided"):
         pullback(f, g, inst)
+
+
+def test_ambiguous_commas_in_edge_ids_collide():
+    """The nodes pair up under distinct names, the edges do not."""
+    inst = default_instance("gr")
+    z = Graph.build(["z"], {"l": ("z", "z")})
+    x = Graph.build(["p"], {"a,b": ("p", "p"), "a": ("p", "p")})
+    y = Graph.build(["q"], {"c": ("q", "q"), "b,c": ("q", "q")})
+    f = Morphism(x, z, {"p": "z"}, {"a,b": "l", "a": "l"})
+    g = Morphism(y, z, {"q": "z"}, {"c": "l", "b,c": "l"})
+    with pytest.raises(StructuralError, match="pair naming collided"):
+        pullback(f, g, inst)
+
+
+# A leg that is not a homomorphism: d: p -> q goes to e: a -> b, but p to b.
+_X = Graph.build(["p", "q"], {"d": ("p", "q")})
+_Z = Graph.build(["a", "b"], {"e": ("a", "b")})
+_INVALID_LEGS = [
+    Morphism(_X, _Z, {"p": "b", "q": "a"}, {"d": "e"}),
+    Morphism(_X, _Z, {"p": "a"}, {"d": "e"}),
+    Morphism(_X, _Z, {"p": "a", "q": "b"}, {}),
+]
+
+
+@pytest.mark.parametrize("leg", _INVALID_LEGS, ids=["bent_edge", "missing_node", "missing_edge"])
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_invalid_leg_is_refused_by_name(leg, side):
+    """A leg whose maps the join or the end lookups cannot read is refused
+    with ``PreconditionError`` naming it, not with a bare ``KeyError``."""
+    inst = default_instance("gr")
+    legs = (leg, identity(_Z)) if side == "first" else (identity(_Z), leg)
+    with pytest.raises(PreconditionError, match=f"the {side} leg is not a valid morphism"):
+        pullback(*legs, inst)
 
 
 def test_square_over_ambiguous_commas_is_decided():

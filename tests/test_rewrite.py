@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import agree.core
 from agree import (
     GR,
     GRPOL,
@@ -41,6 +42,7 @@ from agree.laws import _Gen
 
 import random
 
+import square_reference
 from helpers import naive_monos
 
 
@@ -444,3 +446,60 @@ class TestLocality:
             fp = fpbc(rule.l, m, GR)
             h2 = pushout_along_mono(fp.n, rule.r, GR).result
             assert iso_search(h1, h2, GR) is not None
+
+
+# -- what a step validates ------------------------------------------------------------
+
+def _large_host(rng, typegraph=None, n=2000):
+    """A seeded host with ``n`` nodes and ``3n`` edges, typed over the
+    one-node ``typegraph`` if given."""
+    nodes = [f"n{i:04d}" for i in range(n)]
+    edges = {f"e{i:04d}": (rng.choice(nodes), rng.choice(nodes)) for i in range(3 * n)}
+    if typegraph is None:
+        return Graph.build(nodes, edges)
+    (node_type,) = typegraph.nodes
+    edge_types = {e: rng.choice(sorted(typegraph.src)) for e in edges}
+    return Graph.build(nodes, edges, dict.fromkeys(nodes, node_type), edge_types, typegraph)
+
+
+# The |K|=8 identity rule of the apply-large benchmark.
+K8 = Graph.build([f"k{i}" for i in range(8)])
+
+
+@pytest.mark.parametrize("rule_name", [
+    "clone_node_rule", "clone_outgoing_rule", "delete_node_rule", "web_copy_rule", "identity",
+])
+def test_a_step_validates_no_host_sized_arrow(rule_name, monkeypatch):
+    """On a 2,000-node host, a step computes no validation report for an
+    arrow out of G or D: ``m̄`` and the projection ``g`` are valid by
+    construction, and the left square is checked by its fibres alone.
+    The suite's reference for squares validates their arrows itself, so
+    reports computed while it runs are not counted."""
+    if rule_name == "identity":
+        rule, instance = sqpo_rule(identity(K8), identity(K8), GR), GR
+    else:
+        rule, instance = parse_rule(_fixture(rule_name))
+    rng = random.Random(f"validates/{rule_name}")
+    host = _large_host(rng, instance.typegraph)
+    picked = rng.sample(sorted(host.nodes), len(rule.lhs.nodes))
+    m = Morphism(rule.lhs, host, dict(zip(sorted(rule.lhs.nodes), picked)), {})
+    reference, report = square_reference.is_pullback_square, agree.core._report
+    in_reference, sources = [], []
+
+    def unrecorded(*args):
+        in_reference.append(True)
+        try:
+            return reference(*args)
+        finally:
+            in_reference.pop()
+
+    def recording(f, leq):
+        if not in_reference:
+            sources.append(f.source)
+        return report(f, leq)
+
+    monkeypatch.setattr(square_reference, "is_pullback_square", unrecorded)
+    monkeypatch.setattr(agree.core, "_report", recording)
+    trace = agree_step(rule, m, instance)
+    assert sources
+    assert not [s for s in sources if s is host or s is trace.context]

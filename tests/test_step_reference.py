@@ -1,6 +1,6 @@
 """Rewrite steps against the step computed from the paper's definition in
 ``step_reference.py``: every fixture rule at every match, the laws' random
-draws, and 200-node hosts; and three broken steps the reference must
+draws, and 200-node hosts; and four broken steps the reference must
 catch where the engine's own checks pass them."""
 
 import ast
@@ -17,9 +17,11 @@ from agree import (
     GR,
     Graph,
     Morphism,
+    PreconditionError,
     Pullback,
     Pushout,
     agree_step,
+    phi,
     psqpo_step,
     pullback,
     pushout_along_mono,
@@ -209,10 +211,33 @@ def misglued_rhs_item(n, r, instance):
     return Pushout(result, leg(po.h), leg(po.p))
 
 
+def _absorbed(items, hit):
+    """The first of ``items`` that the mono of ``phi`` does not hit: one
+    that ``phi`` absorbs into the star part."""
+    return next(x for x in items if x not in hit)
+
+
+def misnamed_star_edge(m, f, instance):
+    """``phi`` naming the first star edge it absorbs an edge into without
+    its ``*`` mark: an id that T(L) lacks.  ``phi`` no longer validates its
+    arrow, and the step's pullback only pairs edges over equal images."""
+    out = phi(m, f, instance)
+    e = _absorbed(out.edgemap, set(m.edgemap.values()))
+    return Morphism(out.source, out.target, out.nodemap, {**out.edgemap, e: out.edgemap[e][1:]})
+
+
+def unabsorbed_node(m, f, instance):
+    """``phi`` leaving the first node it absorbs without an image."""
+    out = phi(m, f, instance)
+    x = _absorbed(out.nodemap, set(m.nodemap.values()))
+    return Morphism(out.source, out.target, {y: z for y, z in out.nodemap.items() if y != x}, out.edgemap)
+
+
 MUTANTS = [
     ("pullback", dropped_star_partner),
     ("pullback", swapped_pair_order),
     ("pushout_along_mono", misglued_rhs_item),
+    ("phi", misnamed_star_edge),
 ]
 
 
@@ -241,6 +266,13 @@ def test_broken_step_fails_the_reference(name, mutant):
     trace, ref = mutant_step(name, mutant)  # the engine's own checks pass it
     with pytest.raises(AssertionError):
         assert_same_step(trace, ref)
+
+
+def test_unabsorbed_node_is_refused_by_the_pullback():
+    """``l'`` without an image for the star of TK is not total, so the step
+    stops at the pullback with an error naming the leg."""
+    with pytest.raises(PreconditionError, match="the second leg is not a valid morphism"):
+        mutant_step("phi", unabsorbed_node)
 
 
 def test_broken_step_fails_the_reference_under_optimized_python():
