@@ -20,12 +20,12 @@ from .core import GR, GRPOL, belongs, typed_over, validate_morphism
 from .errors import DocumentError, GraphError
 from .laws import LAW_IDS, LAWS, default_instance, run_law
 from .rewrite import (
+    _strict_complement,
     agree_step,
     enumerate_matches,
     fpbc,
     fpbc_verify,
     is_local_rule,
-    strict_complement,
 )
 
 _ALL_SETTINGS = ("gr", "typed", "grpol")
@@ -172,7 +172,7 @@ def cmd_complement(args) -> int:
     instance = _instance(m.target, tg)
     if not validate_morphism(m, instance).is_mono_in_M:
         raise DocumentError([("/", "strict complements are taken of admissible monos")])
-    comp, incl = strict_complement(m, instance)
+    comp, incl = _strict_complement(m, instance)
     _emit(docio.dumps({"complement": comp, "inclusion": incl}))
     return 0
 

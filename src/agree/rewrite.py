@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, compress, permutations, product
 from math import prod
 from typing import Optional
 
@@ -29,7 +29,7 @@ from .catops import (
     pullback_mediator,
     pushout_along_mono,
 )
-from .classifier import bar, characteristic, phi, t_object
+from .classifier import bar, phi, t_object
 from .core import (
     GR,
     GRPOL,
@@ -502,36 +502,34 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
 
 
 def strict_complement(m: Morphism, instance: CategoryInstance):
-    """The largest subobject of the match target disjoint from the image.
-
-    Computed twice: as the pullback of the characteristic arrow against the
-    ``false`` point, and directly by removing the image together with every
-    edge touching it.  The two must agree under the canonical relabeling.
-    """
+    """The largest subobject of the match target disjoint from the image:
+    the paper's pullback of the characteristic arrow of ``m`` against the
+    ``false`` point, computed directly.  The tests check it against that
+    pullback under the renaming ``(x,y)`` -> ``x``."""
     if not validate_morphism(m, instance).is_mono_in_M:
         raise PreconditionError("strict complements are taken of admissible monos")
+    return _strict_complement(m, instance)
+
+
+def _strict_complement(m: Morphism, instance: CategoryInstance):
+    """:func:`strict_complement` of a known admissible mono: the target
+    without the image's nodes and every edge with an end among them."""
     g = m.target
-    hit_nodes = set(m.nodemap.values())
-    hit_edges = set(m.edgemap.values())
-    nodes = {x for x in g.nodes if x not in hit_nodes}
-    edges = {e for e in g.src if e not in hit_edges and g.src[e] in nodes and g.tgt[e] in nodes}
-
-    comp = Graph(frozenset(nodes), {e: g.src[e] for e in edges}, {e: g.tgt[e] for e in edges},
-                 _restrict(g.node_labels, nodes), _restrict(g.edge_labels, edges), instance.typegraph)
-    incl = Morphism(comp, g, {x: x for x in nodes}, {e: e for e in edges})
-
-    ch = characteristic(m, instance)
-    pb = pullback(ch.chi, ch.false_pt, instance)
-    node_of, labels = pb.p1.nodemap, pb.apex.node_labels
-    if (set(node_of.values()) != nodes or set(pb.p1.edgemap.values()) != edges
-            or (labels is not None and {node_of[x]: label for x, label in labels.items()} != comp.node_labels)):
-        raise InvariantError("the pullback of the characteristic arrow against false "
-                             "differs from the direct complement")
-    return comp, incl
+    hit = set(m.nodemap.values())
+    nodes = g.nodes - hit
+    cut = {e for ends in (g.src, g.tgt) for e in compress(ends, map(hit.__contains__, ends.values()))}
+    src, tgt = _without(g.src, cut), _without(g.tgt, cut)
+    comp = Graph(nodes, src, tgt, _without(g.node_labels, hit), _without(g.edge_labels, cut), instance.typegraph)
+    return comp, Morphism(comp, g, dict(zip(nodes, nodes)), dict(zip(src, src)))
 
 
-def _restrict(labels, items):
-    return None if labels is None else {x: labels[x] for x in items}
+def _without(column, keys):
+    """A copy of ``column`` without ``keys``; ``None`` stays ``None``."""
+    if column is not None:
+        column = dict(column)
+        for key in keys:
+            del column[key]
+    return column
 
 
 def complement_of_square(n: Morphism, l: Morphism, m: Morphism, g: Morphism,
@@ -541,17 +539,18 @@ def complement_of_square(n: Morphism, l: Morphism, m: Morphism, g: Morphism,
     Given a pullback square with vertical admissible monos ``n: K >-> D``
     and ``m: L >-> G`` over ``l: K -> L`` and ``g: D -> G``, the restriction
     is the unique arrow between the complements, and the restricted square
-    is again a pullback.
-    """
+    is again a pullback: an item of D lies over the image of ``m`` exactly
+    when it is in the image of ``n``, and ``g`` is monotone.  So only the
+    given square and ``m`` are checked: ``n`` is an admissible mono when
+    ``m`` is, as its pullback."""
     if not is_pullback_square(l, n, m, g, instance):
         raise PreconditionError("complement_of_square needs a pullback square")
-    comp_d, incl_d = strict_complement(n, instance)
-    comp_g, incl_g = strict_complement(m, instance)
-    out = Morphism(comp_d, comp_g, {x: g.nodemap[x] for x in comp_d.nodes},
-                   {e: g.edgemap[e] for e in comp_d.src})
-    if not is_pullback_square(out, incl_d, incl_g, g, instance):
-        raise InvariantError("the square restricted to the strict complements is not a pullback")
-    return out
+    if not validate_morphism(m, instance).is_mono_in_M:
+        raise PreconditionError("strict complements are taken of admissible monos")
+    (comp_d, _), (comp_g, _) = _strict_complement(n, instance), _strict_complement(m, instance)
+    nodes, edges = comp_d.nodes, comp_d.src
+    return Morphism(comp_d, comp_g, dict(zip(nodes, map(g.nodemap.__getitem__, nodes))),
+                    dict(zip(edges, map(g.edgemap.__getitem__, edges))))
 
 
 def is_local_rule(rule: Rule, instance: CategoryInstance) -> bool:

@@ -7,6 +7,8 @@ import pytest
 
 import agree.catops
 import agree.io
+import agree.rewrite
+import complement_reference
 from agree import DocumentError
 from helpers import with_graph_docs
 from parse_reference import assert_same_parse, parse_outcome, parse_graph as reference_parse_graph
@@ -61,6 +63,28 @@ def squares_match_reference(monkeypatch):
         def checked(*args, decide=decide):
             return assert_same_answer(decide, *args)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__dict__", {}).get(name) is decide:
-                monkeypatch.setattr(module, name, checked)
+        _replace_bindings(monkeypatch, name, decide, checked)
+
+
+@pytest.fixture(autouse=True)
+def complements_match_reference(monkeypatch):
+    """Every call during a test, through any module's binding, of
+    ``strict_complement`` or of ``_strict_complement``, the direct passes
+    that it, ``complement_of_square`` and ``agree complement`` end in,
+    must give the pullback of the characteristic arrow against ``false``
+    in ``complement_reference.py``; every ``complement_of_square`` must
+    restrict its square to a pullback square."""
+    wrappers = {"strict_complement": complement_reference.checked,
+                "_strict_complement": complement_reference.checked,
+                "complement_of_square": complement_reference.checked_restriction}
+    for name, wrap in wrappers.items():
+        compute = getattr(agree.rewrite, name)
+        _replace_bindings(monkeypatch, name, compute, wrap(compute))
+
+
+def _replace_bindings(monkeypatch, name, original, replacement):
+    """Bind ``replacement`` in place of ``original`` wherever a module
+    holds it under ``name``."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)

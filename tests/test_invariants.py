@@ -14,7 +14,6 @@ import agree.catops
 import agree.rewrite
 from agree import (
     GR,
-    Characteristic,
     Graph,
     InvariantError,
     Morphism,
@@ -100,24 +99,12 @@ def step_with_an_extra_context_node():
         agree_step(CLONE, MATCH_V, GR)
 
 
-def complement_pulled_back_against_true():
-    characteristic = agree.rewrite.characteristic
-
-    def true_for_false(m, instance):
-        ch = characteristic(m, instance)
-        return Characteristic(ch.chi, ch.true_pt, ch.true_pt)
-
-    with mock.patch.object(agree.rewrite, "characteristic", true_for_false):
-        strict_complement(MATCH_V, GR)
-
-
 SCENARIOS = [
     step_with_a_swapped_mediator,
     mediator_into_an_apex_without_the_node_pair,
     mediator_into_an_apex_without_the_edge_pair,
     pushout_with_swapped_context_leg,
     step_with_an_extra_context_node,
-    complement_pulled_back_against_true,
 ]
 
 
