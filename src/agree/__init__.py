@@ -51,7 +51,6 @@ from .classifier import (
 from .rewrite import (
     Fpbc,
     FpbcReport,
-    PolarizedPhase,
     RewriteTrace,
     Rule,
     agree_rule,

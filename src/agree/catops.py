@@ -103,12 +103,11 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
 def _join(xs, ys, fmap, gmap) -> tuple:
     """``(left, right, names)``: the pairs ``(x, y)`` with ``fmap[x] ==
     gmap[y]`` as two columns of ids and their ``"(x,y)"`` names, in
-    lexicographic order of the sorted ids: a hash join on the image.  Only
-    the items of ``ys`` whose image some item of ``xs`` hits are sorted and
-    bucketed."""
-    hit = set(fmap.values())
+    lexicographic order of the sorted ids: a hash join on the image.  The
+    items of ``ys`` are bucketed by image; an engine pullback has its small
+    foot on that side."""
     by_image = {}
-    for y in sorted([y for y in ys if gmap[y] in hit]):
+    for y in sorted(ys):
         by_image.setdefault(gmap[y], []).append(y)
     bucket = by_image.get
     left, right, names = [], [], []

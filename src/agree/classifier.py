@@ -3,9 +3,12 @@
 ``t_object`` adds to an object a "star" part that can absorb everything a
 partial map is undefined on: one star node per maximal label (one per type
 for typed graphs, a single one otherwise) and one star edge for every edge
-the instance allows between the enlarged node set.  ``phi`` turns a partial
-map, given as a span of an admissible mono and an arrow, into the unique
-total arrow into the enlarged target that restricts back to it.
+the instance allows between the enlarged node set, and returns the pair
+``(total, unit)`` of the enlarged object and the inclusion of the object
+into it; the star items are the enlargement's items that are not the
+object's.  ``phi`` turns a partial map, given as a span of an admissible
+mono and an arrow, into the unique total arrow into the enlarged target
+that restricts back to it.
 
 Star item ids are normative: node ``*`` (typed: ``*:<type>``), edge
 ``*(<src>,<tgt>)`` (typed: ``*(<src>,<tgt>):<type>``).  The final object is
@@ -132,18 +135,11 @@ def zero(x, instance: CategoryInstance) -> Morphism:
 
 @dataclass(frozen=True)
 class ClassifiedObject:
-    """An object, its enlargement, the embedding unit, and the star index.
+    """``(total, unit)``: an object's enlargement and the unit, the
+    inclusion of the object into it."""
 
-    ``star_edge_ends`` maps each added edge id to ``(src, tgt, label)`` over
-    the enlarged node set (``label`` is ``None`` for unlabelled edges).
-    """
-
-    base: object
     total: object
     unit: Morphism
-    star_nodes: frozenset
-    star_edges: frozenset
-    star_edge_ends: dict
 
 
 def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
@@ -155,8 +151,8 @@ def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
     """
     require_object(y, instance)
     # Belonging pins the setting, so the enlargement is a fact about ``y`` alone.
-    total, nodemap, edgemap, *stars = derived(y, "_enlargement", _enlarge, y, instance)
-    return ClassifiedObject(y, total, Morphism(y, total, nodemap, edgemap), *stars)
+    total, nodemap, edgemap = derived(y, "_enlargement", _enlarge, y, instance)
+    return ClassifiedObject(total, Morphism(y, total, nodemap, edgemap))
 
 
 def _refuse_reserved(kind: str, clash):
@@ -167,9 +163,8 @@ def _refuse_reserved(kind: str, clash):
 
 def _enlarge(y, instance: CategoryInstance) -> tuple:
     """Everything of ``y``'s :class:`ClassifiedObject` that does not refer to
-    ``y``: the total object, the unit's two maps and the star index.  Kept
-    on ``y``, it makes no reference cycle, so ``y`` is freed as soon as it
-    is dropped."""
+    ``y``: the total object and the unit's two maps.  Kept on ``y``, it
+    makes no reference cycle, so ``y`` is freed as soon as it is dropped."""
     stars = _star_nodes(instance, "*")
     _refuse_reserved("node", stars.keys() & y.nodes)
     nodes = y.nodes.union(stars)
@@ -177,7 +172,7 @@ def _enlarge(y, instance: CategoryInstance) -> tuple:
     # In node order, the order of an unlabelled graph's maps.
     node_labels = {n: stars[n] if n in stars else own.get(n) for n in nodes}
     ends = _allowed_edges(instance, node_labels, "*")
-    _refuse_reserved("edge", ends.keys() & y.edges)
+    _refuse_reserved("edge", ends.keys() & y.src.keys())
 
     src = dict(y.src)
     tgt = dict(y.tgt)
@@ -190,7 +185,7 @@ def _enlarge(y, instance: CategoryInstance) -> tuple:
         edge_labels.update({eid: label for eid, (_, _, label) in ends.items()})
     total = Graph(nodes, src, tgt, None if y.node_labels is None else node_labels, edge_labels, instance.typegraph)
     # The unit is the identity inclusion, an admissible mono by construction.
-    return total, {n: n for n in y.nodes}, {e: e for e in y.src}, frozenset(stars), frozenset(ends), ends
+    return total, {n: n for n in y.nodes}, {e: e for e in y.src}
 
 
 def t_morphism(f: Morphism, instance: CategoryInstance) -> Morphism:

@@ -109,10 +109,6 @@ class Graph:
         )
 
     @property
-    def edges(self) -> frozenset:
-        return frozenset(self.src)
-
-    @property
     def kind(self) -> str:
         """The setting, named as :class:`CategoryInstance` names it."""
         if self.typegraph is not None:

@@ -20,6 +20,7 @@ from math import prod
 from typing import Optional
 
 from .catops import (
+    Pullback,
     _host_index,
     _is_pullback_by_fibres,
     _search,
@@ -49,7 +50,6 @@ from .errors import InvariantError, PreconditionError, RuleError
 __all__ = [
     "Rule",
     "RewriteTrace",
-    "PolarizedPhase",
     "Fpbc",
     "FpbcReport",
     "agree_rule",
@@ -131,20 +131,10 @@ def psqpo_rule(l: Morphism, r: Morphism, nplus, nminus) -> Rule:
 
 
 @dataclass(frozen=True)
-class PolarizedPhase:
-    """The polarized first phase of a PSQPO step, before polarity is dropped."""
-
-    khat: Graph
-    lhat: Morphism
-    mhat: Morphism
-    n: Morphism
-    a: Morphism
-    n_prime: Morphism
-
-
-@dataclass(frozen=True)
 class RewriteTrace:
-    """Everything a rewrite step constructs, for inspection and replay."""
+    """Exactly the objects and arrows ``io.trace_doc`` writes of a step:
+    the rule, the match, D, H and the arrows of the paper's diagram.  A
+    PSQPO step's trace has the same shape, with polarity dropped."""
 
     rule: Rule
     match: Morphism
@@ -157,7 +147,6 @@ class RewriteTrace:
     result: object      # H
     h: Morphism         # D -> H
     p: Morphism         # R -> H
-    polarized: Optional[PolarizedPhase] = None
 
 
 def enumerate_matches(lhs, g, instance: CategoryInstance):
@@ -191,13 +180,12 @@ def agree_step(rule: Rule, m: Morphism, instance: CategoryInstance) -> RewriteTr
     _require_match(rule, m, instance)
 
     pb, n = _first_phase(rule.l, rule.t, m, instance)
-    return _second_phase(rule, m, (pb.g, pb.f, pb.apex, pb.p1, pb.p2), n, instance)
+    return _second_phase(rule, m, pb, n, instance)
 
 
-def _second_phase(rule: Rule, m: Morphism, square: tuple, n: Morphism, instance: CategoryInstance,
-                  polarized: Optional[PolarizedPhase] = None) -> RewriteTrace:
+def _second_phase(rule: Rule, m: Morphism, pb: Pullback, n: Morphism, instance: CategoryInstance) -> RewriteTrace:
     """A step's second phase, after the first phase built the pullback
-    ``square``, its ``(g, f, apex, p1, p2)``, and the mediator ``n``: the
+    ``pb`` of ``bar(m)`` against ``phi(t, l)`` and the mediator ``n``: the
     pushout of ``n`` along ``rule.r`` and the step's trace.  It checks the
     two facts that no construction checks: the mediator factors the
     embedding, and the left square is a pullback.  The square's arrows are
@@ -207,7 +195,7 @@ def _second_phase(rule: Rule, m: Morphism, square: tuple, n: Morphism, instance:
     pullback.  So the square is not validated again: only its fit, its
     commuting and its fibres are checked."""
     po = pushout_along_mono(n, rule.r, instance)
-    trace = RewriteTrace(rule, m, *square, n, po.result, po.h, po.p, polarized)
+    trace = RewriteTrace(rule, m, pb.g, pb.f, pb.apex, pb.p1, pb.p2, n, po.result, po.h, po.p)
     if compose(trace.n_prime, n) != rule.t:
         raise InvariantError("the mediator does not factor the embedding: n' . n != t")
     if not _is_pullback_by_fibres(rule.l, n, m, trace.g, instance):
@@ -217,11 +205,11 @@ def _second_phase(rule: Rule, m: Morphism, square: tuple, n: Morphism, instance:
 
 @dataclass(frozen=True)
 class Fpbc:
-    """A final pullback complement: ``K -n-> D -a-> G``."""
+    """A final pullback complement ``(n, a)``: ``K -n-> D -a-> G``, with
+    D as its ``context``."""
 
     n: Morphism
     a: Morphism
-    n_prime: Morphism  # D -> T(K)
 
     @property
     def context(self):
@@ -234,7 +222,7 @@ def fpbc(l: Morphism, m: Morphism, instance: CategoryInstance) -> Fpbc:
     classifying arrow of ``m``: a step's first phase with the unit at ``K``
     as embedding."""
     pb, n = _fpbc_phase(l, m, instance)
-    return Fpbc(n, pb.p1, pb.p2)
+    return Fpbc(n, pb.p1)
 
 
 def _fpbc_phase(l: Morphism, m: Morphism, instance: CategoryInstance) -> tuple:
@@ -496,9 +484,9 @@ def psqpo_step(rule: Rule, m: Morphism) -> RewriteTrace:
     lhat = Morphism(khat, pol_induce(rule.lhs), rule.l.nodemap, rule.l.edgemap)
     mhat = pol_induce(m)
     pb, nhat = _fpbc_phase(lhat, mhat, GRPOL)
-    square = tuple(map(pol_forget, (pb.g, pb.f, pb.apex, pb.p1, pb.p2)))  # pol_forget(pb.f) is bar(m, GR)
-    return _second_phase(rule, m, square, pol_forget(nhat), GR,
-                         PolarizedPhase(khat, lhat, mhat, nhat, pb.p1, pb.p2))
+    # The square with polarity dropped; its foot pb.f is bar(m, GR).
+    pb = Pullback(*map(pol_forget, (pb.apex, pb.p1, pb.p2, pb.f, pb.g)))
+    return _second_phase(rule, m, pb, pol_forget(nhat), GR)
 
 
 def strict_complement(m: Morphism, instance: CategoryInstance):

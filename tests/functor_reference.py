@@ -31,11 +31,14 @@ def t_morphism(f, instance):
     cx = t_object(f.source, instance)
     cy = t_object(f.target, instance)
 
+    # The star items are the enlargement's items that are not the base's.
+    total = cx.total
     nodemap = dict(f.nodemap)
-    nodemap.update({s: s for s in cx.star_nodes})
+    nodemap.update({s: s for s in total.nodes - f.source.nodes})
     edgemap = dict(f.edgemap)
-    for eid, (n, p, label) in cx.star_edge_ends.items():
-        edgemap[eid] = _edge_id("*", nodemap[n], nodemap[p], label)
+    for eid in total.src.keys() - f.source.src.keys():
+        label = None if total.edge_labels is None else total.edge_labels[eid]
+        edgemap[eid] = _edge_id("*", nodemap[total.src[eid]], nodemap[total.tgt[eid]], label)
     out = Morphism(cx.total, cy.total, nodemap, edgemap)
     if not validate_morphism(out, instance).valid:
         raise AssertionError("T(f) is not a valid morphism")
@@ -54,4 +57,4 @@ def fpbc(l, m, instance):
     n = pullback_mediator(pb, compose(m, l), unit_k)
     if not validate_morphism(n, instance).is_mono_in_M:
         raise AssertionError("the complement's embedding of K is not an admissible mono")
-    return Fpbc(n, pb.p1, pb.p2)
+    return Fpbc(n, pb.p1)

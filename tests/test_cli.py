@@ -216,8 +216,7 @@ class TestFpbc:
             d = fp.context
             ghost = Graph(d.nodes | {"ghost"}, dict(d.src), dict(d.tgt))
             return Fpbc(Morphism(fp.n.source, ghost, dict(fp.n.nodemap), dict(fp.n.edgemap)),
-                        Morphism(ghost, fp.a.target, dict(fp.a.nodemap, ghost="a"), dict(fp.a.edgemap)),
-                        fp.n_prime)
+                        Morphism(ghost, fp.a.target, dict(fp.a.nodemap, ghost="a"), dict(fp.a.edgemap)))
 
         monkeypatch.setattr(agree.cli, "fpbc", padded)
         assert main(CLONE_FPBC) == 2
@@ -314,6 +313,34 @@ class TestLaws:
     def test_negative_bound_is_input_error(self, capsys):
         assert main(["laws", "--law", "PHI_UNIQUE", "--bound", "-3"]) == 1
         assert capsys.readouterr() == ("", "error: size bounds must not be negative, got (-3, -2)\n")
+
+    @pytest.mark.parametrize("category, kind, skipped", [
+        ("gr", "gr", []),
+        ("typed", "typed", ["PSQPO_AGREE"]),
+        ("pol", "grpol", ["LOCALITY", "FPBC_FINAL", "SQPO_AGREE", "PSQPO_AGREE"]),
+    ])
+    @pytest.mark.parametrize("bound", [None, 2])
+    def test_sweep_runs_each_law_of_the_category(self, category, kind, skipped, bound, capsys, monkeypatch):
+        """Without ``--law``, ``agree laws`` runs every law of the category
+        in ``LAW_IDS`` order, but ``FPBC_FINAL`` not over polarized graphs,
+        at the bound ``(b, b + 1)``."""
+        import agree.cli as cli
+        from agree.laws import LAW_IDS, LawReport
+
+        calls = []
+
+        def recording(law_id, seed=0, size_bound=(4, 5), instance=None, count=None):
+            calls.append((law_id, seed, size_bound, instance.kind))
+            return LawReport(law_id, instance.kind, 1, True, 0, None, seed, size_bound)
+
+        monkeypatch.setattr(cli, "run_law", recording)
+        args = ["laws", "--category", category] + ([] if bound is None else ["--bound", str(bound)])
+        assert main(args) == 0
+        b = 4 if bound is None else bound
+        laws = [law for law in LAW_IDS if law not in skipped]
+        assert calls == [(law, 0, (b, b + 1), kind) for law in laws]
+        assert len(laws) == 10 - len(skipped)
+        assert capsys.readouterr().out.count(": PASS") == len(laws)
 
     def test_law_failure_exits_2(self, capsys, monkeypatch):
         import agree.cli as cli

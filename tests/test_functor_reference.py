@@ -12,7 +12,18 @@ import random
 
 import pytest
 
-from agree import GR, GRPOL, default_instance, fpbc, pol_forget, psqpo_step, t_morphism
+from agree import (
+    GR,
+    GRPOL,
+    Morphism,
+    PolarizedGraph,
+    default_instance,
+    fpbc,
+    pol_forget,
+    pol_induce,
+    psqpo_step,
+    t_morphism,
+)
 from agree.laws import _Gen
 
 import functor_reference
@@ -39,11 +50,18 @@ def test_fpbc_equals_the_reference(kind):
 
 
 def test_psqpo_first_phase_equals_the_reference():
+    """A PSQPO step's first phase is ``fpbc`` over the polarized rule and
+    match that ``psqpo_step`` builds; the trace holds its arrows with
+    polarity dropped."""
     gen = _Gen(random.Random("functor/psqpo"), (3, 3), GR)
     for _ in range(60):
         rule = gen.psqpo_rule()
-        trace = psqpo_step(rule, gen.match_onto(rule.lhs))
-        phase = trace.polarized
-        assert trace.l_prime == pol_forget(functor_reference.t_morphism(phase.lhat, GRPOL))
-        expected = functor_reference.fpbc(phase.lhat, phase.mhat, GRPOL)
-        assert (phase.n, phase.a, phase.n_prime) == (expected.n, expected.a, expected.n_prime)
+        m = gen.match_onto(rule.lhs)
+        trace = psqpo_step(rule, m)
+        khat = PolarizedGraph(rule.interface, rule.nplus, rule.nminus)
+        lhat = Morphism(khat, pol_induce(rule.lhs), rule.l.nodemap, rule.l.edgemap)
+        mhat = pol_induce(m)
+        expected = functor_reference.fpbc(lhat, mhat, GRPOL)
+        assert fpbc(lhat, mhat, GRPOL) == expected
+        assert trace.l_prime == pol_forget(functor_reference.t_morphism(lhat, GRPOL))
+        assert (trace.n, trace.g) == (pol_forget(expected.n), pol_forget(expected.a))

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import agree.classifier
 import agree.core
 from agree import (
     GR,
@@ -295,7 +296,6 @@ class TestPsqpo:
         tr = psqpo_step(outgoing_clone_rule(), MATCH_V)
         assert edge_multiset(tr.result) == sorted(
             [("D:(a,*)", "R:k0"), ("R:k0", "D:(b,*)"), ("R:k1", "D:(b,*)")])
-        assert tr.polarized is not None
 
     def test_empty_polarity_clone_gets_no_context_edges(self):
         rule = psqpo_rule(CLONE_L, identity(TWO_COPIES), ["k0"], ["k0"])
@@ -316,16 +316,28 @@ class TestPsqpo:
             assert iso_search(psqpo_step(rule, m).result,
                               agree_step(rule, m, GR).result, GR) is not None
 
-    def test_match_is_classified_once(self):
-        """The trace's ``m_bar`` is the polarized classifying arrow ``fpbc``
-        kept on the induced match, with polarity dropped: ``bar(m, GR)``
-        item for item and in the same insertion order."""
+    def test_match_is_classified_once(self, monkeypatch):
+        """A step classifies its match once, over polarized graphs, and the
+        trace's ``m_bar`` is that arrow with polarity dropped: its maps are
+        the classified arrow's own, and equal ``bar(m, GR)`` item for item
+        and in the same insertion order."""
+        real = agree.classifier._classify
+        calls = []
+
+        def recording(m, instance):
+            out = real(m, instance)
+            calls.append((m, instance, out))
+            return out
+
+        monkeypatch.setattr(agree.classifier, "_classify", recording)
         gen = _Gen(random.Random("psqpo/classified"), (3, 4), GR)
         for _ in range(5):
             rule = gen.psqpo_rule()
             m = gen.match_onto(rule.lhs, extra_nodes=200, extra_edges=600)
+            calls.clear()
             tr = psqpo_step(rule, m)
-            kept = bar(tr.polarized.mhat, GRPOL)
+            assert [(mhat, instance) for mhat, instance, _ in calls] == [(pol_induce(m), GRPOL)]
+            kept = calls[0][2]
             assert tr.m_bar.nodemap is kept.nodemap and tr.m_bar.edgemap is kept.edgemap
             fresh = bar(Morphism(m.source, m.target, m.nodemap, m.edgemap), GR)
             assert tr.m_bar == fresh
