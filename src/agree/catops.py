@@ -57,10 +57,21 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     Nodes are pairs ``(x,y)`` with equal images, edges likewise; a pair is
     labelled with the meet of its components' labels.  Pulling back an
     admissible mono yields an admissible mono.  Graph pullbacks are
-    componentwise, so the projections are valid by construction.  A leg
-    whose maps the construction cannot read (an item without an image, an
+    componentwise, so the projections are valid by construction.
+
+    Each layer is one hash join that writes its final maps: the items of
+    the right foot ``Y`` are sorted and bucketed by image, and each sorted
+    item of the left foot ``X`` reads its bucket, so the pairs come in the
+    lexicographic order of a nested loop over both feet.  The node join
+    fills the two projections and a table ``{x: {y: "(x,y)"}}``; the edge
+    join fills the two projections and the apex ends, each end read from
+    that table, so it is the very string the node set holds.
+
+    A leg whose maps the joins cannot read (an item without an image, an
     edge whose ends are not paired) is refused by name; the legs are
-    validated only then, to word the refusal.
+    validated only then, to word the refusal.  That a leg keeps its
+    items' labels below their images' is a precondition the joins do not
+    read, and a leg that raises a label is not refused.
     """
     if f.target != g.target:
         raise PreconditionError("pullback needs a cospan: the two arrows must share their target")
@@ -69,14 +80,44 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
     gx, gy = f.source, g.source
 
     try:
-        node_x, node_y, node_names = _join(gx.nodes, gy.nodes, f.nodemap, g.nodemap)
-        edge_x, edge_y, edge_names = _join(gx.src, gy.src, f.edgemap, g.edgemap)
-        # An edge pair's ends are the pairs of its components' ends; the
-        # table hands back the apex node's own string for each pair.
-        node_of = dict(zip(zip(node_x, node_y), node_names))
-        xsrc, xtgt, ysrc, ytgt = gx.src, gx.tgt, gy.src, gy.tgt
-        src = {eid: node_of[xsrc[e], ysrc[d]] for eid, e, d in zip(edge_names, edge_x, edge_y)}
-        tgt = {eid: node_of[xtgt[e], ytgt[d]] for eid, e, d in zip(edge_names, edge_x, edge_y)}
+        fmap, gmap = f.nodemap, g.nodemap
+        by_image = {}
+        for y in sorted(gy.nodes):
+            by_image.setdefault(gmap[y], []).append(y)
+        bucket = by_image.get
+        node_x, node_y, pair_of = {}, {}, {}
+        node_pairs = 0
+        for x in sorted(gx.nodes):
+            ys = bucket(fmap[x])
+            if ys:
+                node_pairs += len(ys)
+                row = pair_of[x] = {}
+                for y in ys:
+                    name = row[y] = f"({x},{y})"
+                    node_x[name] = x
+                    node_y[name] = y
+
+        # An edge pair's ends are the pairs of its components' ends: the
+        # rows of its left ends, read at its right ends.
+        fmap, gmap, ysrc, ytgt = f.edgemap, g.edgemap, gy.src, gy.tgt
+        by_image = {}
+        for d in sorted(ysrc):
+            by_image.setdefault(gmap[d], []).append((d, ysrc[d], ytgt[d]))
+        bucket = by_image.get
+        xsrc, xtgt = gx.src, gx.tgt
+        edge_x, edge_y, src, tgt = {}, {}, {}, {}
+        edge_pairs = 0
+        for e in sorted(xsrc):
+            ds = bucket(fmap[e])
+            if ds:
+                edge_pairs += len(ds)
+                at_src, at_tgt = pair_of[xsrc[e]], pair_of[xtgt[e]]
+                for d, s, t in ds:
+                    name = f"({e},{d})"
+                    edge_x[name] = e
+                    edge_y[name] = d
+                    src[name] = at_src[s]
+                    tgt[name] = at_tgt[t]
     except KeyError:
         # Only legs that are not valid morphisms get here; say which.
         for name, leg in (("first", f), ("second", g)):
@@ -85,45 +126,26 @@ def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
                 raise PreconditionError(f"pullback requires valid legs: the {name} leg is not "
                                         f"a valid morphism: {rep.problems}") from None
         raise
-    nodes = frozenset(node_names)
-    if len(nodes) != len(node_names) or len(src) != len(edge_names):
+    if len(node_x) != node_pairs or len(edge_x) != edge_pairs:
         raise StructuralError("pair naming collided; source ids embed ambiguous commas")
     apex = Graph(
-        nodes, src, tgt,
-        _meets(instance, gx.node_labels, gy.node_labels, node_x, node_y, node_names),
-        _meets(instance, gx.edge_labels, gy.edge_labels, edge_x, edge_y, edge_names),
+        # From the keys view, not the dict: a set built from a dict is
+        # presized, and would iterate in another order.
+        frozenset(node_x.keys()), src, tgt,
+        _meets(instance, gx.node_labels, gy.node_labels, node_x, node_y),
+        _meets(instance, gx.edge_labels, gy.edge_labels, edge_x, edge_y),
         instance.typegraph,
     )
-
-    p1 = Morphism(apex, gx, dict(zip(node_names, node_x)), dict(zip(edge_names, edge_x)))
-    p2 = Morphism(apex, gy, dict(zip(node_names, node_y)), dict(zip(edge_names, edge_y)))
-    return Pullback(apex, p1, p2, f, g)
+    return Pullback(apex, Morphism(apex, gx, node_x, edge_x), Morphism(apex, gy, node_y, edge_y), f, g)
 
 
-def _join(xs, ys, fmap, gmap) -> tuple:
-    """``(left, right, names)``: the pairs ``(x, y)`` with ``fmap[x] ==
-    gmap[y]`` as two columns of ids and their ``"(x,y)"`` names, in
-    lexicographic order of the sorted ids: a hash join on the image.  The
-    items of ``ys`` are bucketed by image; an engine pullback has its small
-    foot on that side."""
-    by_image = {}
-    for y in sorted(ys):
-        by_image.setdefault(gmap[y], []).append(y)
-    bucket = by_image.get
-    left, right, names = [], [], []
-    for x in sorted(xs):
-        for y in bucket(fmap[x], ()):
-            left.append(x)
-            right.append(y)
-            names.append(f"({x},{y})")
-    return left, right, names
-
-
-def _meets(instance, left, right, xs, ys, names):
+def _meets(instance, left, right, xs, ys):
+    """The meet labels of the pairs that ``xs`` and ``ys`` project, in
+    their order."""
     if left is None:
         return None
-    meet = instance.meet
-    return {name: meet(left[x], right[y]) for name, x, y in zip(names, xs, ys)}
+    return dict(zip(xs, map(instance.meet, map(left.__getitem__, xs.values()),
+                            map(right.__getitem__, ys.values()))))
 
 
 def pullback_mediator(pb: Pullback, v: Morphism, w: Morphism) -> Morphism:
@@ -153,8 +175,10 @@ class Pushout:
 
 def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> Pushout:
     """Glue ``R`` into ``D`` over ``K``: kept context keeps a ``D:`` prefix,
-    right-hand-side items enter with an ``R:`` prefix.  The legs are valid
-    by construction; only the commuting square is checked."""
+    right-hand-side items enter with an ``R:`` prefix.  The result's ends
+    are written in one walk over D's edges, which skips the glued ones,
+    and one over R's.  The legs are valid by construction; only the
+    commuting square is checked."""
     if instance.kind == "grpol":
         raise PreconditionError("pushouts are only provided for plain and typed graphs")
     if n.source != r.source:
@@ -175,11 +199,15 @@ def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> 
     h_edges = {e: "D:" + e for e in gd.src}
     h_edges.update({e: p_edges[r.edgemap[k]] for k, e in n.edgemap.items()})
 
+    # D's edges that are not glued keep their ends, in one walk over D.
     glued = set(n.edgemap.values())
-    kept = [e for e in gd.src if e not in glued]
-    dsrc, dtgt = gd.src, gd.tgt
-    src = {h_edges[e]: h_nodes[dsrc[e]] for e in kept}
-    tgt = {h_edges[e]: h_nodes[dtgt[e]] for e in kept}
+    dtgt = gd.tgt
+    src, tgt = {}, {}
+    for e, s in gd.src.items():
+        if e not in glued:
+            name = h_edges[e]
+            src[name] = h_nodes[s]
+            tgt[name] = h_nodes[dtgt[e]]
     rsrc, rtgt = gr_.src, gr_.tgt
     src.update({p_edges[d]: p_nodes[rsrc[d]] for d in rsrc})
     tgt.update({p_edges[d]: p_nodes[rtgt[d]] for d in rsrc})

@@ -2,6 +2,8 @@
 orders as the nested-loop construction it replaced, also where the join
 sorts and buckets only the right-foot items that the left foot hits."""
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -17,10 +19,14 @@ from agree import (
     fpbc,
     identity,
     is_pullback_square,
+    phi,
     pullback,
     t_morphism,
 )
+from agree.io import parse_rule
 from agree.laws import _Gen, default_instance
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def oracle(f, g, instance):
@@ -69,6 +75,7 @@ def assert_same_as_oracle(f, g, instance):
     pb = pullback(f, g, instance)
     apex, p1, p2 = oracle(f, g, instance)
     assert pb.apex == apex
+    assert list(pb.apex.nodes) == list(apex.nodes)
     assert list(pb.apex.src.items()) == list(apex.src.items())
     assert list(pb.apex.tgt.items()) == list(apex.tgt.items())
     for labels, expected in ((pb.apex.node_labels, apex.node_labels),
@@ -127,6 +134,23 @@ def test_polarized_fpbc_pullback_matches_the_oracle():
         pb = assert_same_as_oracle(bar(m, inst), t_morphism(l, inst), inst)
         items += len(pb.apex.nodes)
     assert items > 20
+
+
+@pytest.mark.parametrize("rule_file", sorted(p.name for p in FIXTURES.glob("*_rule.json")))
+def test_step_cospan_matches_the_oracle(rule_file):
+    """The cospan a step pulls back, ``bar(m)`` against ``phi(t, l)``, for
+    each fixture rule on a host far larger than its left-hand side: a
+    star with two partners (``clone_node_rule``), a star with none
+    (``delete_node_rule``) and typed labels (``web_copy_rule``).
+    ``nonlocal_keep_one_rule`` has no star, so its apex is the match's
+    image alone."""
+    rule, inst = parse_rule(json.loads((FIXTURES / rule_file).read_text(encoding="utf-8")))
+    cospan_right = phi(rule.t, rule.l, inst)
+    for seed in range(5):
+        gen = _Gen(random.Random(f"pullback/step/{rule_file}/{seed}"), (3, 4), inst)
+        m = gen.match_onto(rule.lhs, extra_nodes=30, extra_edges=60)
+        pb = assert_same_as_oracle(bar(m, inst), cospan_right, inst)
+        assert len(pb.apex.nodes) >= len(rule.lhs.nodes)
 
 
 def _missed(f, g):
@@ -244,14 +268,22 @@ def test_ambiguous_commas_in_edge_ids_collide():
 # A leg that is not a homomorphism: d: p -> q goes to e: a -> b, but p to b.
 _X = Graph.build(["p", "q"], {"d": ("p", "q")})
 _Z = Graph.build(["a", "b"], {"e": ("a", "b")})
+# d: p -> s goes to e: a -> b, but p to b, while q and r both go to a.
+_X4 = Graph.build(["p", "q", "r", "s"], {"d": ("p", "s")})
 _INVALID_LEGS = [
     Morphism(_X, _Z, {"p": "b", "q": "a"}, {"d": "e"}),
     Morphism(_X, _Z, {"p": "a"}, {"d": "e"}),
     Morphism(_X, _Z, {"p": "a", "q": "b"}, {}),
+    # As the second leg, e's source a pairs with nothing at all.
+    Morphism(_X, _Z, {"p": "b", "q": "b"}, {"d": "e"}),
+    # As the second leg, a pairs with q and r, but not with d's source p.
+    Morphism(_X4, _Z, {"p": "b", "q": "a", "r": "a", "s": "b"}, {"d": "e"}),
 ]
 
 
-@pytest.mark.parametrize("leg", _INVALID_LEGS, ids=["bent_edge", "missing_node", "missing_edge"])
+@pytest.mark.parametrize("leg", _INVALID_LEGS, ids=["bent_edge", "missing_node", "missing_edge",
+                                                     "bent_edge_to_unpaired_end",
+                                                     "bent_edge_past_two_partners"])
 @pytest.mark.parametrize("side", ["first", "second"])
 def test_invalid_leg_is_refused_by_name(leg, side):
     """A leg whose maps the join or the end lookups cannot read is refused
