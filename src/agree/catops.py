@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import compress, filterfalse, repeat
 from typing import Iterator, NamedTuple, Optional
 
 from .core import (
@@ -240,7 +240,7 @@ def _glued(context_labels, rhs_labels, h, p):
 
 class _Host(NamedTuple):
     """A host as the search reads it: sorted node ids, labels, edge ids by
-    ``(src, tgt)``, sorted neighbours by node, and degrees."""
+    ``(src, tgt)``, and sorted neighbours by node."""
 
     nodes: list
     node_labels: Optional[dict]
@@ -248,8 +248,6 @@ class _Host(NamedTuple):
     between: dict
     succ: dict
     pred: dict
-    out_degree: Counter
-    in_degree: Counter
 
 
 def _host_index(graph: Graph, node_labels, edge_labels) -> _Host:
@@ -261,13 +259,7 @@ def _host_index(graph: Graph, node_labels, edge_labels) -> _Host:
     for s, t in sorted(between):
         succ.setdefault(s, []).append(t)
         pred.setdefault(t, []).append(s)
-    return _Host(sorted(graph.nodes), node_labels, edge_labels, between, succ, pred,
-                 Counter(graph.src.values()), Counter(graph.tgt.values()))
-
-
-# A slot not filled yet: an image not bound, a fit not built.  Host ids may
-# be any hashable and a fit may be ``None``, so neither can mark it.
-_UNBOUND = object()
+    return _Host(sorted(graph.nodes), node_labels, edge_labels, between, succ, pred)
 
 
 def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterator[tuple]:
@@ -311,28 +303,7 @@ def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterat
     for near, closed in zip(anchors, checks):
         if len(near) == 1:
             closed[:] = [(s, t, label) for s, t, label in closed if label is not None or s == t]
-    if injective:
-        out_x, in_x = Counter(gx.src.values()), Counter(gx.tgt.values())
-        out_y, in_y = host.out_degree, host.in_degree
-
-    def fitting(x):
-        """The sorted host nodes ``x`` fits by label and, for monos, by
-        degree; the host's own list if that is all of them."""
-        ys = host.nodes
-        if xl is not None:
-            label = xl[x]
-            ys = [y for y in ys if order(label, yl[y])]
-        if injective and out_x[x]:
-            ys = [y for y in ys if out_y[y] >= out_x[x]]
-        if injective and in_x[x]:
-            ys = [y for y in ys if in_y[y] >= in_x[x]]
-        return ys
-
-    # A node level's fit, built when the level is first reached: the
-    # sorted free list of an unanchored node, the set of an anchored one
-    # (``None`` if every host node fits).
-    fits = [_UNBOUND] * n
-    images, edge_images = [_UNBOUND] * n, [_UNBOUND] * len(es)
+    images, edge_images = [None] * n, [None] * len(es)
     used, used_edges = set(), set()
     if not depth:
         yield {}, {}
@@ -345,18 +316,15 @@ def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterat
         found = stack[level]
         if level < n:
             if found is None:
-                near, fit = anchors[level], fits[level]
-                if fit is _UNBOUND:
-                    fit = fitting(xs[level])
-                    if near:
-                        fit = None if fit is host.nodes else frozenset(fit)
-                    fits[level] = fit
+                near = anchors[level]
                 if not near:
-                    found = iter(fit)
+                    ys = host.nodes
+                elif len(near) == 1:
+                    ys = near[0][1].get(images[near[0][0]], ())
                 else:
-                    ys = (near[0][1].get(images[near[0][0]], ()) if len(near) == 1 else
-                          min((adjacency.get(images[u], ()) for u, adjacency in near), key=len))
-                    found = iter(ys) if fit is None else filter(fit.__contains__, ys)
+                    ys = min((adjacency.get(images[u], ()) for u, adjacency in near), key=len)
+                found = (iter(ys) if xl is None else
+                         compress(ys, map(order, repeat(xl[xs[level]]), map(yl.__getitem__, ys))))
                 if injective:
                     found = filterfalse(used.__contains__, found)
                 stack[level] = found

@@ -84,6 +84,9 @@ def _rule_and_graph(args):
     rule, instance = docio.parse_rule(_load(args.rule))
     gdoc = _load(args.graph)
     host = docio.parse_graph(gdoc, instance.typegraph)
+    if instance is GR and host.kind == "grpol":
+        first = next(i for i, node in enumerate(gdoc["nodes"]) if "polarity" in node)
+        raise DocumentError([(f"/nodes/{first}/polarity", "polarity belongs to hosts of PSQPO rules")])
     return rule, host, instance
 
 

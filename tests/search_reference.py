@@ -1,9 +1,12 @@
 """The match search as it was before it became one generator frame.
 
 ``_search`` here is the recursive search that ``agree.catops._search``
-replaced, kept verbatim: it binds pattern nodes in sorted order through
-one generator per binding, then pattern edges likewise, and calls
-``fits``, ``candidates`` and ``edges_present`` for every candidate.
+replaced: it binds pattern nodes in sorted order through one generator
+per binding, then pattern edges likewise, and calls ``fits``,
+``candidates`` and ``edges_present`` for every candidate.  It keeps the
+degree pruning the engine dropped, counting the host's degrees from
+``host.between`` itself, so it also checks that the pruning cut only
+partial maps without a completion.
 ``tests/test_matcher.py`` compares the two list-for-list on hosts of
 realistic size, which the bind-all-then-check oracle there cannot reach.
 """
@@ -31,7 +34,10 @@ def _search(host: _Host, gx: Graph, xl, xe, *, injective: bool, order) -> Iterat
     xs = sorted(gx.nodes)
     yl, ye, between = host.node_labels, host.edge_labels, host.between
     out_x, in_x = (Counter(gx.src.values()), Counter(gx.tgt.values())) if injective else ({}, {})
-    out_y, in_y = host.out_degree, host.in_degree
+    out_y, in_y = Counter(), Counter()
+    for (s, t), ds in between.items():
+        out_y[s] += len(ds)
+        in_y[t] += len(ds)
 
     # Per pattern node: the edges checked when it is bound, as (src, tgt,
     # label), and the earlier neighbours it can draw candidates from, as

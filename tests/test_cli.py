@@ -486,6 +486,9 @@ def _fixture(name, **changes):
 _POLARIZED_POINT = {"nodes": [{"id": "t", "polarity": ["+"]}], "edges": []}
 _POLARITY = {"plus": ["k0"], "minus": []}
 _CHAIN = str(FIXTURES / "chain_graph.json")
+# A polarized host whose first node, isolated, has no polarity key.
+_LATE_POLARITY_HOST = {"nodes": [{"id": "u"}, {"id": "a", "polarity": ["+"]}, {"id": "b", "polarity": ["-"]}],
+                       "edges": [{"id": "ab", "src": "a", "tgt": "b"}]}
 _ANONYMIZE = ["apply", "--rule", str(FIXTURES / "anonymize_rule.json"),
               "--graph", str(FIXTURES / "network_graph.json"), "--match"]
 
@@ -531,6 +534,12 @@ REJECTED = {
     "match onto an unknown node": (["apply", "--rule", str(FIXTURES / "clone_node_rule.json"), "--graph", _CHAIN,
                                     "--match", _fixture("match_v", nodes={"x": "w"})],
                                    ["/nodes/x: unknown target node id 'w'"]),
+    "polarized host for a plain rule": (["matches", "--rule", str(FIXTURES / "clone_node_rule.json"),
+                                         "--graph", _LATE_POLARITY_HOST],
+                                        ["/nodes/1/polarity: polarity belongs to hosts of PSQPO rules"]),
+    "polarized host for a plain step": (["apply", "--rule", str(FIXTURES / "clone_node_rule.json"),
+                                         "--graph", _LATE_POLARITY_HOST],
+                                        ["/nodes/1/polarity: polarity belongs to hosts of PSQPO rules"]),
     "polarized type graph": (["classifier", "--graph", _CHAIN, "--typegraph", _POLARIZED_POINT],
                              ["/: the type graph must be a plain graph"]),
     "match not a mono": (_ANONYMIZE + [_fixture("network_match",
