@@ -16,7 +16,7 @@ from itertools import islice
 from . import io as docio
 from .catops import enumerate_monos
 from .classifier import t_object
-from .core import GR, GRPOL, belongs, typed_over, validate_morphism
+from .core import GR, GRPOL, typed_over, validate_morphism
 from .errors import DocumentError, GraphError
 from .laws import LAW_IDS, LAWS, default_instance, run_law
 from .rewrite import (
@@ -28,13 +28,11 @@ from .rewrite import (
     is_local_rule,
 )
 
-_ALL_SETTINGS = ("gr", "typed", "grpol")
-
-# The settings `agree laws` sweeps a law in when no --law is given, where
-# that is not all three: those of its `LAWS` entry, but FPBC_FINAL not over
-# polarized graphs, where its finality checks take seconds per seed.
-_LAW_CATEGORIES = {law: settings for law, (_, _, settings) in LAWS.items() if settings != _ALL_SETTINGS}
-_LAW_CATEGORIES["FPBC_FINAL"] = ("gr", "typed")
+# The settings `agree laws` sweeps each law in when no --law is given: those
+# of its `LAWS` entry, but FPBC_FINAL not over polarized graphs, where its
+# finality checks take seconds per seed.
+_LAW_CATEGORIES = {law: tuple(kind for kind in settings if (law, kind) != ("FPBC_FINAL", "grpol"))
+                   for law, (_, _, settings) in LAWS.items()}
 
 
 def _load(path):
@@ -66,10 +64,7 @@ def _typegraph(path):
     """The type graph in the file ``path``, or ``None`` without a path."""
     if not path:
         return None
-    tg = docio.parse_graph(_load(path))
-    if not belongs(tg, GR):
-        raise DocumentError([("/", "the type graph must be a plain graph")])
-    return tg
+    return docio._parse_unpolarized(_load(path))
 
 
 def _instance(obj, typegraph):
@@ -82,12 +77,7 @@ def _instance(obj, typegraph):
 
 def _rule_and_graph(args):
     rule, instance = docio.parse_rule(_load(args.rule))
-    gdoc = _load(args.graph)
-    host = docio.parse_graph(gdoc, instance.typegraph)
-    if instance is GR and host.kind == "grpol":
-        first = next(i for i, node in enumerate(gdoc["nodes"]) if "polarity" in node)
-        raise DocumentError([(f"/nodes/{first}/polarity", "polarity belongs to hosts of PSQPO rules")])
-    return rule, host, instance
+    return rule, docio._parse_unpolarized(_load(args.graph), instance.typegraph), instance
 
 
 def cmd_matches(args) -> int:
@@ -141,6 +131,11 @@ def cmd_fpbc(args) -> int:
     l = docio.parse_morphism(ldoc, typegraph=tg)
     m = docio.parse_morphism(mdoc, source=l.target, target=None, typegraph=tg)
     instance = _instance(l.target, tg)
+    problems = validate_morphism(l, instance).problems
+    if problems:
+        raise DocumentError([(args.l, f"not a valid arrow: {problem}") for problem in problems])
+    if not validate_morphism(m, instance).is_mono_in_M:
+        raise DocumentError([(args.m, "not an admissible mono")])
     result = fpbc(l, m, instance)
     # Verify first, so that a bound the oracle refuses leaves no output behind.
     report = fpbc_verify(l, m, result.n, result.a, instance, size_bound=args.bound) if args.verify else None
@@ -182,9 +177,7 @@ def cmd_complement(args) -> int:
 
 def cmd_laws(args) -> int:
     instance = default_instance(args.category)
-    ids = [args.law] if args.law else [
-        law for law in LAW_IDS if instance.kind in _LAW_CATEGORIES.get(law, _ALL_SETTINGS)
-    ]
+    ids = [args.law] if args.law else [law for law, kinds in _LAW_CATEGORIES.items() if instance.kind in kinds]
     bound = (args.bound, args.bound + 1)
     failed = False
     for law in ids:

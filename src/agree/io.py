@@ -13,7 +13,7 @@ from itertools import chain, repeat
 from operator import attrgetter, contains, itemgetter, methodcaller
 from typing import Optional
 
-from .core import GR, CategoryInstance, Graph, Morphism, belongs, typed_over
+from .core import GR, CategoryInstance, Graph, Morphism, typed_over
 from .errors import DocumentError, StructuralError
 from .rewrite import Rule, RewriteTrace, agree_rule, psqpo_rule, sqpo_rule
 
@@ -38,7 +38,10 @@ def dumps(doc) -> str:
     ``indent`` set, ``json`` falls back to its pure-Python encoder.  A
     graph object or a morphism anywhere in ``doc`` is written as its
     :func:`graph_doc` or :func:`morphism_doc` would be, straight from its
-    columns or maps; a document is written as any other dict.
+    columns or maps, and only if the ``parse_*`` functions read that back:
+    an id, a type, a key or an image that is not a ``str``, a map that is
+    not a mapping, or a dict key above it that is not a ``str`` raises
+    :class:`TypeError`.  A document is written as any other dict.
     """
     out = []
     _write(doc, "\n", out)
@@ -63,9 +66,9 @@ def _write(value, newline: str, out: list):
             out.append(sep)
             if type(item) is str:
                 out.append(_encode_str(item))
-            elif (isinstance(item, Morphism) and (layout := _arrow_layout(item, inner, layout))
-                  and (text := _arrow_text(item, layout)) is not None):
-                out.append(text)
+            elif isinstance(item, Morphism):
+                layout = _arrow_layout(item, inner, layout)
+                out.append(_arrow_text(item, layout))
             else:
                 _write(item, inner, out)
             sep = "," + inner
@@ -82,43 +85,31 @@ def _write(value, newline: str, out: list):
                 _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, Graph) and (text := _graph_text(value, newline)) is not None:
-        out.append(text)
-    elif (isinstance(value, Morphism) and (layout := _arrow_layout(value, newline))
-          and (text := _arrow_text(value, layout)) is not None):
-        out.append(text)
+    elif isinstance(value, Graph):
+        out.append(_graph_text(value, newline))
+    elif isinstance(value, Morphism):
+        out.append(_arrow_text(value, _arrow_layout(value, newline)))
     else:
-        # Numbers, constants, empty containers, dicts with non-string keys,
-        # and graphs and morphisms that fail a test of their writer.
-        text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, default=_graph_default)
+        # Numbers, constants, empty containers and dicts with non-string
+        # keys, which ``json`` refuses if they hold a graph or a morphism.
+        text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
         out.append(text.replace("\n", newline))
 
 
-def _graph_default(value):
-    """``json``'s ``default`` for :func:`_write`: a graph object's or a
-    morphism's document; any other value is refused as ``json`` refuses it."""
-    if isinstance(value, Graph):
-        return graph_doc(value)
-    if isinstance(value, Morphism):
-        return morphism_doc(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _arrow_layout(f: Morphism, newline: str, last: Optional[tuple] = None) -> Optional[tuple]:
+def _arrow_layout(f: Morphism, newline: str, last: Optional[tuple] = None) -> tuple:
     """The fixed text of ``morphism_doc(f)`` (``newline`` as for :func:`_write`):
     the maps' key sets and sorted keys, four parts per key with a slot for
     its value last, and the closing text.  ``last``, another arrow's layout,
-    is kept if its key sets are ``f``'s; ``None`` if a map is not a ``dict``
-    or a key is not a ``str``."""
-    edges, nodes = f.edgemap, f.nodemap
-    if not (isinstance(edges, dict) and isinstance(nodes, dict)):
-        return None
-    if last is not None and edges.keys() == last[0] and nodes.keys() == last[1]:
+    is kept if its key sets are ``f``'s.  A map that is not a mapping, or a
+    key that is not a ``str``, raises :class:`TypeError`."""
+    try:
+        keys = f.edgemap.keys(), f.nodemap.keys()
+    except AttributeError:
+        raise TypeError("a morphism's maps must be mappings") from None
+    if last is not None and keys == last[:2]:
         return last
-    if not (_strings(edges) and _strings(nodes)):
-        return None
     inner, key_line = newline + "  ", newline + "    "
-    orders, parts, text = (sorted(edges), sorted(nodes)), [], "{" + inner + '"edges": '
+    orders, parts, text = (sorted(keys[0]), sorted(keys[1])), [], "{" + inner + '"edges": '
     for order, after in zip(orders, ("," + inner + '"nodes": ', newline + "}")):
         block = ["," + key_line, None, ": ", None] * len(order)
         block[1::4] = map(_encode_str, order)
@@ -126,17 +117,15 @@ def _arrow_layout(f: Morphism, newline: str, last: Optional[tuple] = None) -> Op
             block[0] = text + "{" + key_line
         parts += block
         text = (inner + "}" if order else text + "{}") + after
-    return (edges.keys(), nodes.keys(), *orders, parts + [text])
+    return (*keys, *orders, parts + [text])
 
 
-def _arrow_text(f: Morphism, layout: tuple) -> Optional[str]:
-    """The text of ``morphism_doc(f)`` in ``layout``; ``None`` if a value is not a ``str``."""
+def _arrow_text(f: Morphism, layout: tuple) -> str:
+    """The text of ``morphism_doc(f)`` in ``layout``; an image that is not
+    a ``str`` raises :class:`TypeError`."""
     parts = layout[4].copy()
     values = chain(map(f.edgemap.__getitem__, layout[2]), map(f.nodemap.__getitem__, layout[3]))
-    try:
-        parts[3::4] = map(_encode_str, values)
-    except TypeError:  # the encoder refuses a value that is not a str
-        return None
+    parts[3::4] = map(_encode_str, values)
     return "".join(parts)
 
 
@@ -170,51 +159,32 @@ def _str_list(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join(map(_encode_str, items)) + newline + "]"
 
 
-def _graph_text(obj, newline: str) -> Optional[str]:
-    """The text of ``graph_doc(obj)``, written from ``obj``'s columns, or
-    ``None`` if a column holds a value that document could not hold: then
-    :func:`_write` writes ``graph_doc(obj)`` through ``json``, with its
-    text or its error.  ``newline`` is as for :func:`_write`.
-
-    Every id is tested to be a ``str``, and the endpoint columns are
-    encoded through the node ids' texts, so an endpoint that is not a node
-    id refuses too.  Labels are tested as :func:`graph_doc` chooses their
-    field: types to be ``str``, capability sets to have a polarity.
-    """
+def _graph_text(obj, newline: str) -> str:
+    """The text of ``graph_doc(obj)``, written from ``obj``'s columns;
+    ``newline`` is as for :func:`_write`.  An id or a type that is not a
+    ``str`` raises :class:`TypeError`.  The endpoint columns are encoded
+    through the node ids' texts; the constructor has checked that every
+    endpoint is a node and every item of a labelled graph has its label."""
     src, tgt = obj.src, obj.tgt
-    if not (_strings(obj.nodes) and _strings(src)):
-        return None
     nids, eids = sorted(obj.nodes), sorted(src)
     inner = newline + "  "
     key_line = inner + "    "
     node_texts = list(map(_encode_str, nids))
     node_text = dict(zip(nids, node_texts)).__getitem__
-    try:
-        src_texts = list(map(node_text, map(src.__getitem__, eids)))
-        tgt_texts = list(map(node_text, map(tgt.__getitem__, eids)))
-    except KeyError:
-        return None
     typed = obj.kind == "typed"
     node_columns = [("id", node_texts)]
-    edge_columns = [("id", map(_encode_str, eids)), ("src", src_texts), ("tgt", tgt_texts)]
+    edge_columns = [("id", map(_encode_str, eids)), ("src", map(node_text, map(src.__getitem__, eids))),
+                    ("tgt", map(node_text, map(tgt.__getitem__, eids)))]
     for columns, ids, labels in ((node_columns, nids, obj.node_labels), (edge_columns, eids, obj.edge_labels)):
         if not labels:
             continue
-        try:
-            column = list(map(labels.__getitem__, ids))
-        except KeyError:
-            return None
+        column = list(map(labels.__getitem__, ids))
         # Labels are names of the type graph's items or capability sets, so
         # they are hashable, and each distinct one is encoded once.
-        distinct = set(column)
         if typed:
-            if not _strings(distinct):
-                return None
-            field, texts = "type", {label: _encode_str(label) for label in distinct}
+            field, texts = "type", {label: _encode_str(label) for label in set(column)}
         else:
-            if not (all(map(isinstance, distinct, repeat(frozenset))) and _POLARITY.keys() >= distinct):
-                return None
-            field, texts = "polarity", {caps: _str_list(_POLARITY[caps], key_line) for caps in distinct}
+            field, texts = "polarity", {caps: _str_list(_POLARITY[caps], key_line) for caps in set(column)}
         columns.append((field, map(texts.__getitem__, column)))
     return ("{" + inner + '"edges": ' + _records(len(eids), edge_columns, inner)
             + "," + inner + '"nodes": ' + _records(len(nids), node_columns, inner) + newline + "}")
@@ -272,6 +242,21 @@ def parse_graph(doc, typegraph: Optional[Graph] = None, path: str = "", polarize
             raise StructuralError("the column pass rejected a graph document the row pass accepts")
         raise DocumentError(errors)
     return obj
+
+
+def _parse_unpolarized(doc, typegraph: Optional[Graph] = None, path: str = "") -> Graph:
+    """:func:`parse_graph` for a document of a setting without polarity:
+    a typed one over ``typegraph``, else a plain one, which is refused at
+    its first node with a ``polarity`` key before any other problem.  The
+    document is scanned only to word that refusal."""
+    try:
+        obj = parse_graph(doc, typegraph, path)
+        if obj.kind != "grpol":
+            return obj
+    except DocumentError:
+        if typegraph is not None or _first_polarity(doc) is None:
+            raise
+    raise DocumentError([(f"{path}/nodes/{_first_polarity(doc)}/polarity", "a plain graph's nodes carry no polarity")])
 
 
 def _strings(column: list) -> bool:
@@ -446,7 +431,7 @@ def parse_morphism(doc, source=None, target=None, typegraph: Optional[Graph] = N
         raise DocumentError([(path or "/", "morphism document must be an object")])
     errors = []
     polarized = typegraph is None and any(
-        _has_polarity(doc.get(key)) if end is None else end.kind == "grpol"
+        _first_polarity(doc.get(key)) is not None if end is None else end.kind == "grpol"
         for key, end in (("source", source), ("target", target)))
     if source is None:
         if "source" not in doc:
@@ -476,10 +461,13 @@ def parse_morphism(doc, source=None, target=None, typegraph: Optional[Graph] = N
     return Morphism(source, target, dict(maps["nodes"]), dict(maps["edges"]))
 
 
-def _has_polarity(doc) -> bool:
-    """Whether ``doc`` is a graph document with a node that has a ``polarity`` key."""
+def _first_polarity(doc) -> Optional[int]:
+    """The index of the first node with a ``polarity`` key if ``doc`` is a
+    graph document that has one, else ``None``."""
     nodes = doc.get("nodes") if isinstance(doc, dict) else None
-    return isinstance(nodes, list) and any(isinstance(node, dict) and "polarity" in node for node in nodes)
+    if not isinstance(nodes, list):
+        return None
+    return next((i for i, node in enumerate(nodes) if isinstance(node, dict) and "polarity" in node), None)
 
 
 # -- rules ---------------------------------------------------------------------
@@ -543,19 +531,17 @@ def parse_rule(doc, path: str = ""):
     typegraph = None
     instance = GR
     if "typegraph" in doc:
-        typegraph = parse_graph(doc["typegraph"], path=f"{path}/typegraph")
-        if not belongs(typegraph, GR):
-            raise DocumentError([(f"{path}/typegraph", "the type graph must be a plain graph")])
+        typegraph = _parse_unpolarized(doc["typegraph"], path=f"{path}/typegraph")
         instance = typed_over(typegraph)
 
-    lhs = parse_graph(doc["L"], typegraph, path=f"{path}/L")
-    k = parse_graph(doc["K"], typegraph, path=f"{path}/K")
-    rhs = parse_graph(doc["R"], typegraph, path=f"{path}/R")
+    lhs = _parse_unpolarized(doc["L"], typegraph, f"{path}/L")
+    k = _parse_unpolarized(doc["K"], typegraph, f"{path}/K")
+    rhs = _parse_unpolarized(doc["R"], typegraph, f"{path}/R")
     l = parse_morphism(doc["l"], source=k, target=lhs, path=f"{path}/l")
     r = parse_morphism(doc["r"], source=k, target=rhs, path=f"{path}/r")
 
     if mode == "AGREE":
-        tk = parse_graph(doc["TK"], typegraph, path=f"{path}/TK")
+        tk = _parse_unpolarized(doc["TK"], typegraph, f"{path}/TK")
         t = parse_morphism(doc["t"], source=k, target=tk, path=f"{path}/t")
         return agree_rule(l, r, t, instance), instance
     if mode == "SQPO":

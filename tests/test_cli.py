@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, canonical output."""
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -489,6 +490,21 @@ _CHAIN = str(FIXTURES / "chain_graph.json")
 # A polarized host whose first node, isolated, has no polarity key.
 _LATE_POLARITY_HOST = {"nodes": [{"id": "u"}, {"id": "a", "polarity": ["+"]}, {"id": "b", "polarity": ["-"]}],
                        "edges": [{"id": "ab", "src": "a", "tgt": "b"}]}
+# A host with polarity on one node only, too little for its edge.
+_PART_POLARITY_HOST = {"nodes": [{"id": "u"}, {"id": "a", "polarity": ["+"]}, {"id": "b"}],
+                       "edges": [{"id": "ab", "src": "a", "tgt": "b"}]}
+_NO_POLARITY = "a plain graph's nodes carry no polarity"
+
+
+def _with_polarity(doc, graph):
+    """The rule document ``doc`` with ``polarity`` on the first node of its graph ``graph``."""
+    doc[graph]["nodes"][0]["polarity"] = ["+"]
+    return doc
+
+
+# The fixture type graph, with polarity on its one node.
+_POLARIZED_TYPEGRAPH = _with_polarity(_fixture("web_copy_rule"), "typegraph")["typegraph"]
+_TWO_POINTS = {"nodes": [{"id": "k0"}, {"id": "k1"}], "edges": []}
 _ANONYMIZE = ["apply", "--rule", str(FIXTURES / "anonymize_rule.json"),
               "--graph", str(FIXTURES / "network_graph.json"), "--match"]
 
@@ -518,7 +534,21 @@ REJECTED = {
                                _fixture("clone_outgoing_rule", typegraph=_fixture("web_copy_rule")["typegraph"])],
                               ["/typegraph: PSQPO rules live over plain graphs"]),
     "polarized type graph in a rule": (["check-rule", "--rule", _fixture("web_copy_rule", typegraph=_POLARIZED_POINT)],
-                                       ["/typegraph: the type graph must be a plain graph"]),
+                                       [f"/typegraph/nodes/0/polarity: {_NO_POLARITY}"]),
+    "partly polarized type graph in a rule": (["check-rule", "--rule",
+                                               _fixture("web_copy_rule", typegraph=_POLARIZED_TYPEGRAPH)],
+                                              [f"/typegraph/nodes/0/polarity: {_NO_POLARITY}"]),
+    "polarity in a plain rule's L": (["check-rule", "--rule", _with_polarity(_fixture("clone_node_rule"), "L")],
+                                     [f"/L/nodes/0/polarity: {_NO_POLARITY}"]),
+    "polarity in a plain step's L": (["apply", "--rule", _with_polarity(_fixture("clone_node_rule"), "L"),
+                                      "--graph", _CHAIN],
+                                     [f"/L/nodes/0/polarity: {_NO_POLARITY}"]),
+    "polarity in an untyped AGREE rule's TK": (
+        ["check-rule", "--rule", {**identity_rule_doc(), "mode": "AGREE", "t": {"nodes": {"x": "x"}, "edges": {}},
+                                  "TK": {"nodes": [{"id": "x"}, {"id": "y", "polarity": ["+"]}], "edges": []}}],
+        [f"/TK/nodes/1/polarity: {_NO_POLARITY}"]),
+    "polarity in a PSQPO rule's K": (["check-rule", "--rule", _with_polarity(_fixture("clone_outgoing_rule"), "K")],
+                                     [f"/K/nodes/0/polarity: {_NO_POLARITY}"]),
     "plus not an array": (["apply", "--rule", _fixture("clone_outgoing_rule", polarity={"plus": "k0", "minus": ["k1"]}),
                            "--graph", _CHAIN],
                           ["/polarity/plus: 'plus' must be an array of interface node ids"]),
@@ -536,12 +566,29 @@ REJECTED = {
                                    ["/nodes/x: unknown target node id 'w'"]),
     "polarized host for a plain rule": (["matches", "--rule", str(FIXTURES / "clone_node_rule.json"),
                                          "--graph", _LATE_POLARITY_HOST],
-                                        ["/nodes/1/polarity: polarity belongs to hosts of PSQPO rules"]),
+                                        [f"/nodes/1/polarity: {_NO_POLARITY}"]),
     "polarized host for a plain step": (["apply", "--rule", str(FIXTURES / "clone_node_rule.json"),
                                          "--graph", _LATE_POLARITY_HOST],
-                                        ["/nodes/1/polarity: polarity belongs to hosts of PSQPO rules"]),
+                                        [f"/nodes/1/polarity: {_NO_POLARITY}"]),
+    "polarized host for a PSQPO rule": (["matches", "--rule", str(FIXTURES / "clone_outgoing_rule.json"),
+                                         "--graph", _LATE_POLARITY_HOST],
+                                        [f"/nodes/1/polarity: {_NO_POLARITY}"]),
+    "partly polarized host": (["matches", "--rule", str(FIXTURES / "clone_node_rule.json"),
+                               "--graph", _PART_POLARITY_HOST],
+                              [f"/nodes/1/polarity: {_NO_POLARITY}"]),
     "polarized type graph": (["classifier", "--graph", _CHAIN, "--typegraph", _POLARIZED_POINT],
-                             ["/: the type graph must be a plain graph"]),
+                             [f"/nodes/0/polarity: {_NO_POLARITY}"]),
+    "partly polarized type graph": (["classifier", "--graph", str(FIXTURES / "web_graph.json"),
+                                     "--typegraph", _POLARIZED_TYPEGRAPH],
+                                    [f"/nodes/0/polarity: {_NO_POLARITY}"]),
+    # A file path in an error line is written $tmp/<name>.
+    "fpbc with an l that is not total": (
+        ["fpbc", "--l", _fixture("clone_l", nodes={"k0": "x"}), "--m", str(FIXTURES / "complement_arrow.json")],
+        ["$tmp/doc2.json: not a valid arrow: nodemap is not total on the source nodes"]),
+    "fpbc with an m that is not a mono": (
+        ["fpbc", "--l", {"source": {"nodes": [], "edges": []}, "target": _TWO_POINTS, "nodes": {}, "edges": {}},
+         "--m", str(FIXTURES / "clone_l.json")],
+        [f"{FIXTURES / 'clone_l.json'}: not an admissible mono"]),
     "match not a mono": (_ANONYMIZE + [_fixture("network_match",
                                                 nodes={"x1": "u1", "x2": "u1", "x3": "u3", "x4": "u4"})],
                          ["/: the given match is not an admissible mono"]),
@@ -559,5 +606,5 @@ def test_rejected_documents_name_their_position(case, workdir, capsys):
     argv = [arg if isinstance(arg, str) else write(f"doc{i}.json", arg) for i, arg in enumerate(argv)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "".join(f"error: {line}\n" for line in errors)
+    assert captured.err == "".join(f"error: {line}\n" for line in errors).replace("$tmp/", f"{tmp}{os.sep}")
     assert captured.out == ""

@@ -1,7 +1,11 @@
 """``io.dumps`` writes exactly the text of ``json.dumps(doc, indent=2,
-sort_keys=True, ensure_ascii=False)`` plus a final newline."""
+sort_keys=True, ensure_ascii=False)`` plus a final newline, with each graph
+object and morphism written as its document; it refuses with
+``TypeError`` a graph or morphism whose document ``parse_graph`` or
+``parse_morphism`` would not read back."""
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
 
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 import agree.io
 from agree import Graph, Morphism, PolarizedGraph, TypedGraph, generate, pol_minimal
 from agree.cli import main
+from agree.errors import DocumentError
 from agree.io import dumps, graph_doc, morphism_doc, parse_graph, parse_morphism, parse_rule, rule_doc, trace_doc
 from agree.laws import default_instance
 from agree.rewrite import agree_step, psqpo_step
@@ -27,7 +32,7 @@ def reference(doc):
 
 def outcome(write, doc):
     """The text, or the type of the error raised for a value ``json`` (or
-    ``graph_doc``) rejects."""
+    ``dumps``) rejects."""
     try:
         return write(doc)
     except (TypeError, KeyError) as exc:
@@ -203,8 +208,9 @@ def _typed_by_ints():
 
 
 _EMPTY = Graph.build()
-# Graphs the API builds with ids or labels that are not strings: ``dumps``
-# writes them through ``graph_doc``, with the same text or the same error.
+_POINT = Graph.build(["a"])
+# Graphs the API builds with ids or labels that are not strings:
+# ``parse_graph`` refuses their documents, and ``dumps`` refuses them.
 NON_STRING_GRAPHS = {
     "int ids": Graph(frozenset({1, 2}), {3: 1}, {3: 2}),
     "mixed node ids": Graph(frozenset({1, "a"}), {}, {}),
@@ -230,30 +236,88 @@ GRAPHS = (_generated("gr") | _generated("typed") | _generated("pol") | _generate
           | awkward_graphs() | st.sampled_from([*EMPTY_GRAPHS.values(), *NON_STRING_GRAPHS.values()]))
 
 
+def _strings(items):
+    return all(isinstance(item, str) for item in items)
+
+
+def readable(value, string_keys=True):
+    """Whether every graph object and morphism in ``value`` has a document
+    that ``parse_graph`` or ``parse_morphism`` reads back (string ids and
+    types; maps that are mappings with string keys and images) and sits
+    only in dicts with string keys, which ``dumps`` writes itself."""
+    if isinstance(value, Graph):
+        labels = (value.node_labels.values(), value.edge_labels.values()) if value.kind == "typed" else ()
+        return string_keys and all(map(_strings, (value.nodes, value.src, *labels)))
+    if isinstance(value, Morphism):
+        maps = (value.nodemap, value.edgemap)
+        return string_keys and all(isinstance(m, Mapping) and _strings(m) and _strings(m.values()) for m in maps)
+    if isinstance(value, dict):
+        return all(readable(item, string_keys and _strings(value)) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(readable(item, string_keys) for item in value)
+    return True
+
+
+def written(value):
+    """The ``json`` text of ``value`` with each graph object and morphism
+    in it replaced by its document, or the type of the error raised:
+    ``TypeError`` if a graph or morphism in it is not :func:`readable`."""
+    if not readable(value):
+        return TypeError
+    return outcome(lambda v: reference(with_graph_docs(v)), value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.recursive(GRAPHS | SCALARS, _containers, max_leaves=8))
 def test_drawn_graph_objects(value):
     """Graphs alone or nested in dicts and lists are written as their
-    ``graph_doc`` is, and one that cannot be written raises as it does."""
-    assert outcome(dumps, value) == outcome(lambda v: reference(with_graph_docs(v)), value)
+    ``graph_doc`` is, and one that ``parse_graph`` would not read back
+    raises ``TypeError``."""
+    assert outcome(dumps, value) == written(value)
 
 
 @pytest.mark.parametrize("name", [*EMPTY_GRAPHS, *NON_STRING_GRAPHS])
 def test_hand_written_graph_objects(name):
     obj = {**EMPTY_GRAPHS, **NON_STRING_GRAPHS}[name]
-    assert outcome(dumps, obj) == outcome(lambda g: reference(graph_doc(g)), obj)
-    assert outcome(dumps, {"G": [obj]}) == outcome(lambda g: reference({"G": [graph_doc(g)]}), obj)
+    expected = TypeError if name in NON_STRING_GRAPHS else reference(graph_doc(obj))
+    assert outcome(dumps, obj) == written(obj) == expected
+    assert outcome(dumps, {"G": [obj]}) == written({"G": [obj]})
 
 
-def test_non_string_graphs_fall_back():
-    """The non-string graphs reach ``graph_doc``'s text or its error, and
-    the three that ``json`` can write keep their non-string ids and types:
-    a typed graph's labels are types whatever their ids are."""
-    texts = {name: outcome(dumps, obj) for name, obj in NON_STRING_GRAPHS.items()}
-    assert texts["mixed node ids"] is TypeError
-    assert '"id": 1' in texts["int ids"] and '"src": 1' in texts["polarized int ids"]
-    assert '"type": 0' in texts["int types"] and '"type": 1' in texts["int types"]
-    assert "polarity" not in texts["int types"]
+_ARROW = Morphism(None, None, {"a": "x"}, {"e": "y"})
+# Values outside the document model, each with a graph or a morphism that
+# ``parse_graph`` or ``parse_morphism`` would not read back.
+OUT_OF_MODEL = {
+    **NON_STRING_GRAPHS,
+    "int arrow key": Morphism(None, None, {1: "x"}, {}),
+    "int edge arrow key": Morphism(None, None, {}, {1: "x"}),
+    "int arrow image": Morphism(None, None, {"a": 1}, {}),
+    "None edge arrow image": Morphism(None, None, {}, {"e": None}),
+    "list arrow image": Morphism(None, None, {"a": ["x"]}, {}),
+    "list node map": Morphism(None, None, ["a"], {}),
+    "empty list edge map": Morphism(None, None, {}, []),
+    "bad image after a shared layout": [_ARROW, Morphism(None, None, {"a": "x"}, {"e": 0})],
+    "bad key after a good arrow": [_ARROW, Morphism(None, None, {"a": "x"}, {0: "y"})],
+    "graph in an int-keyed dict": {1: _POINT},
+    "arrow in an int-keyed dict": {0: [_ARROW]},
+    "graph below an int-keyed dict": {1: [{"g": _POINT}]},
+}
+
+
+def test_out_of_model_values_are_refused():
+    """Each value raises ``TypeError``, alone and nested in a list and in a dict."""
+    refused = {name: [refusal(lambda: dumps(v)) for v in (value, [value], {"k": value})]
+               for name, value in OUT_OF_MODEL.items()}
+    assert {name: [r and r[0] for r in rs] for name, rs in refused.items()} == {
+        name: [TypeError] * 3 for name in OUT_OF_MODEL}
+    # ``json``'s own writer says it cannot write a graph or a morphism in a
+    # dict with a key that is not a string.
+    assert refused["graph in an int-keyed dict"][0] == (TypeError, "Object of type Graph is not JSON serializable")
+    # The reader refuses the documents of the graphs that have one.
+    for name in ("int ids", "int edge id", "polarized int ids", "int types"):
+        obj = NON_STRING_GRAPHS[name]
+        with pytest.raises(DocumentError):
+            parse_graph(graph_doc(obj), obj.typegraph)
 
 
 # -- morphisms: written from their maps -------------------------------------------
@@ -291,9 +355,9 @@ _NOT_STR = st.sampled_from([0, 1, -2, 1.5, None, True, ("a",), b"a"])
 
 @st.composite
 def near_arrow_lists(draw):
-    """An arrow list with one arrow whose maps ``json`` writes otherwise or
-    not at all: a key or a value that is not a string, or a map that is a
-    mapping but not a ``dict``."""
+    """An arrow list with one arrow whose maps ``parse_morphism`` would not
+    read back (a key or a value that is not a string), or with a map that
+    is a mapping but not a ``dict``."""
     arrows = list(draw(arrow_lists()))
     i = draw(st.integers(0, len(arrows) - 1))
     f = arrows[i]
@@ -315,12 +379,6 @@ def near_arrow_lists(draw):
     return arrows
 
 
-def written(value):
-    """The ``json`` text of ``value`` with each graph object and morphism
-    in it replaced by its document, or the type of the error raised."""
-    return outcome(lambda v: reference(with_graph_docs(v)), value)
-
-
 @settings(max_examples=300, deadline=None)
 @given(arrow_lists())
 def test_drawn_arrow_lists(arrows):
@@ -334,8 +392,9 @@ def test_drawn_arrow_lists(arrows):
 @settings(max_examples=300, deadline=None)
 @given(near_arrow_lists())
 def test_drawn_near_arrow_lists(arrows):
-    """An arrow that fails a test of the arrow writer is written through
-    ``json``, with its text or its error."""
+    """An arrow with a key or an image that is not a string raises
+    ``TypeError``; one with a mapping that is not a ``dict`` is written as
+    its ``morphism_doc``."""
     assert outcome(dumps, arrows) == written(arrows)
 
 
@@ -350,9 +409,6 @@ def test_drawn_arrows_next_to_graphs(value):
     """Arrows nested in dicts, tuples and lists, next to graphs, are each
     written as their ``morphism_doc``."""
     assert outcome(dumps, value) == written(value)
-
-
-_POINT = Graph.build(["a"])
 
 
 @pytest.mark.parametrize("value", [
@@ -375,9 +431,6 @@ _POINT = Graph.build(["a"])
 ])
 def test_hand_written_arrows(value):
     assert outcome(dumps, value) == written(value)
-    # An arrow that cannot be written raises what writing its morphism_doc raises.
-    refusals = [refusal(lambda: dumps(morphism_doc(f))) for f in _objects_in(value, Morphism)]
-    assert refusal(lambda: dumps(value)) == next(filter(None, refusals), None)
 
 
 # -- documents the fixtures and the generator produce -----------------------------
@@ -517,3 +570,52 @@ def test_generated_documents(category, kinds):
             else:
                 doc = morphism_doc(value, with_objects=True)
             assert dumps(doc) == reference(doc)
+
+
+# -- round trip: dumps writes only what the parsers read back ---------------------
+
+def read_back(doc, like):
+    """``doc``, a written graph or arrow, read in the setting of ``like``,
+    the graph object or morphism it was written from."""
+    if isinstance(like, Graph):
+        return parse_graph(doc, like.typegraph, polarized=like.kind == "grpol")
+    return parse_morphism(doc, source=like.source, target=like.target)
+
+
+def _generated_values(category):
+    """Every graph and arrow ``generate`` draws in a setting, over a few seeds."""
+    inst = default_instance(category)
+    kinds = ("graph", "mono", "morphism", "span-rule") + (("psqpo-rule",) if category == "gr" else ())
+    for kind in kinds:
+        for seed in range(10):
+            value = generate(kind, seed, (4, 5), inst)
+            if kind.endswith("rule"):
+                yield from (value.lhs, value.interface, value.rhs, value.t.target, value.l, value.r, value.t)
+            elif kind == "graph":
+                yield value
+            else:
+                yield from (value.source, value.target, value)
+
+
+@pytest.mark.parametrize("category", ["gr", "typed", "pol"])
+def test_generated_values_round_trip(category):
+    values = list(_generated_values(category))
+    kinds = {value.kind for value in values if isinstance(value, Graph)}
+    assert kinds == {"gr": {"gr"}, "typed": {"typed"}, "pol": {"grpol"}}[category]
+    for value in values:
+        assert read_back(json.loads(dumps(value)), value) == value
+
+
+@pytest.mark.parametrize("rule_name,graph_name,match_name", SCENARIOS)
+def test_trace_values_round_trip(rule_name, graph_name, match_name):
+    """Each object and arrow of a fixture trace, written in its trace
+    document, reads back equal."""
+    rule, instance = parse_rule(_load(rule_name))
+    host = parse_graph(_load(graph_name), instance.typegraph)
+    m = parse_morphism(_load(match_name), source=rule.lhs, target=host)
+    trace = psqpo_step(rule, m) if rule.mode == "PSQPO" else agree_step(rule, m, instance)
+    values = trace_doc(trace)
+    doc = json.loads(dumps(values))
+    for group in ("objects", "arrows"):
+        for name, value in values[group].items():
+            assert read_back(doc[group][name], value) == value, name
