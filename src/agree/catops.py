@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, filterfalse, repeat
 from typing import Iterator, NamedTuple, Optional
 
@@ -17,6 +16,7 @@ from .core import (
     CategoryInstance,
     Graph,
     Morphism,
+    _Record,
     compose,
     require_object,
     validate_morphism,
@@ -40,15 +40,14 @@ def _pair(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-@dataclass(frozen=True)
-class Pullback:
-    """Canonical pullback of a cospan ``f: X -> Z <- Y :g``."""
+class Pullback(_Record):
+    """Canonical pullback of a cospan ``f: X -> Z <- Y :g``, with its
+    projections ``p1: apex -> X`` and ``p2: apex -> Y``."""
 
-    apex: object
-    p1: Morphism  # apex -> X
-    p2: Morphism  # apex -> Y
-    f: Morphism
-    g: Morphism
+    _fields = __slots__ = ("apex", "p1", "p2", "f", "g")
+
+    def __init__(self, apex, p1: Morphism, p2: Morphism, f: Morphism, g: Morphism):
+        self._fill(apex, p1, p2, f, g)
 
 
 def pullback(f: Morphism, g: Morphism, instance: CategoryInstance) -> Pullback:
@@ -164,13 +163,14 @@ def pullback_mediator(pb: Pullback, v: Morphism, w: Morphism) -> Morphism:
     return Morphism(v.source, pb.apex, nodemap, edgemap)
 
 
-@dataclass(frozen=True)
-class Pushout:
-    """Pushout of ``D <-n- K -r-> R`` along an admissible mono ``n``."""
+class Pushout(_Record):
+    """Pushout of ``D <-n- K -r-> R`` along an admissible mono ``n``, with
+    its legs ``h: D -> result`` and ``p: R -> result``."""
 
-    result: object
-    h: Morphism  # D -> result
-    p: Morphism  # R -> result
+    _fields = __slots__ = ("result", "h", "p")
+
+    def __init__(self, result, h: Morphism, p: Morphism):
+        self._fill(result, h, p)
 
 
 def pushout_along_mono(n: Morphism, r: Morphism, instance: CategoryInstance) -> Pushout:

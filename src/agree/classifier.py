@@ -17,12 +17,11 @@ the star part on its own, with ``1`` in place of ``*``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     CategoryInstance,
     Graph,
     Morphism,
+    _Record,
     compose,
     derived,
     identity,
@@ -133,13 +132,14 @@ def zero(x, instance: CategoryInstance) -> Morphism:
 
 # -- enlargement ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassifiedObject:
+class ClassifiedObject(_Record):
     """``(total, unit)``: an object's enlargement and the unit, the
     inclusion of the object into it."""
 
-    total: object
-    unit: Morphism
+    _fields = __slots__ = ("total", "unit")
+
+    def __init__(self, total, unit: Morphism):
+        self._fill(total, unit)
 
 
 def t_object(y, instance: CategoryInstance) -> ClassifiedObject:
@@ -235,11 +235,14 @@ def _classify(m: Morphism, instance: CategoryInstance) -> Morphism:
     return phi(m, identity(m.source), instance)
 
 
-@dataclass(frozen=True)
-class Characteristic:
-    chi: Morphism       # G -> T(1)
-    true_pt: Morphism   # 1 -> T(1)
-    false_pt: Morphism  # 1 -> T(1)
+class Characteristic(_Record):
+    """The characteristic arrow ``chi: G -> T(1)`` of a mono, with the
+    points ``true_pt`` and ``false_pt``, both ``1 -> T(1)``."""
+
+    _fields = __slots__ = ("chi", "true_pt", "false_pt")
+
+    def __init__(self, chi: Morphism, true_pt: Morphism, false_pt: Morphism):
+        self._fill(chi, true_pt, false_pt)
 
 
 def _points(instance: CategoryInstance) -> tuple:

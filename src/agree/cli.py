@@ -91,7 +91,7 @@ def _pick_match(args, rule, host, instance):
     if args.match:
         m = docio.parse_morphism(_load(args.match), source=rule.lhs, target=host)
         if not validate_morphism(m, instance).is_mono_in_M:
-            raise DocumentError([("/", "the given match is not an admissible mono")])
+            raise DocumentError([(args.match, "the given match is not an admissible mono")])
         return m
     index = args.match_index if args.match_index is not None else 0
     if not 0 <= index <= sys.maxsize:  # no host has more matches than islice can skip
@@ -169,7 +169,7 @@ def cmd_complement(args) -> int:
     m = docio.parse_morphism(mdoc, typegraph=tg)
     instance = _instance(m.target, tg)
     if not validate_morphism(m, instance).is_mono_in_M:
-        raise DocumentError([("/", "strict complements are taken of admissible monos")])
+        raise DocumentError([(args.m, "strict complements are taken of admissible monos")])
     comp, incl = _strict_complement(m, instance)
     _emit(docio.dumps({"complement": comp, "inclusion": incl}))
     return 0

@@ -36,7 +36,6 @@ changed after construction would answer with facts about its old self.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import PreconditionError, StructuralError
@@ -64,32 +63,92 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Graph:
+# Writes a record's field past its ``__setattr__``, which refuses every write.
+_put = object.__setattr__
+
+
+class _Record:
+    """Base of the engine's immutable records.
+
+    A record class lists its fields, in order, in ``_fields``, holds them
+    in slots of those names, and writes them in its ``__init__``, through
+    :meth:`_fill` or, in the hot records, one at a time.  Two records are
+    equal when they are of the same class and their fields are equal; the
+    hash is that of the fields, so a record holding a dict has none;
+    ``repr`` lists the fields by name.  Fields cannot be assigned or
+    deleted.  The instance dict holds the facts :func:`derived` keeps,
+    which take no part in any of these.
+    """
+
+    __slots__ = ("__dict__", "__weakref__")
+    _fields: tuple = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self._fields, values):
+            _put(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles are built by the constructor from the fields.
+        return type(self), self._values()
+
+
+class Graph(_Record):
     """A finite directed multigraph: node ids, edge ids, endpoint maps, and
     the label columns of its setting, with the type graph of a typed one."""
 
-    nodes: frozenset
-    src: dict
-    tgt: dict
-    node_labels: Optional[dict] = None
-    edge_labels: Optional[dict] = None
-    typegraph: Optional[Graph] = None
+    _fields = __slots__ = ("nodes", "src", "tgt", "node_labels", "edge_labels", "typegraph")
 
-    def __post_init__(self):
-        nodes, src, tgt = self.nodes, self.src, self.tgt
+    def __init__(self, nodes: frozenset, src: dict, tgt: dict, node_labels: Optional[dict] = None,
+                 edge_labels: Optional[dict] = None, typegraph: Optional[Graph] = None):
         if src.keys() != tgt.keys():
             raise StructuralError("src and tgt must be defined on the same edge set")
         if not (nodes.issuperset(src.values()) and nodes.issuperset(tgt.values())):
             for e, n in list(src.items()) + list(tgt.items()):
                 if n not in nodes:
                     raise StructuralError(f"edge {e!r} has dangling endpoint {n!r}")
-        if self.typegraph is not None:
+        _put(self, "nodes", nodes)
+        _put(self, "src", src)
+        _put(self, "tgt", tgt)
+        _put(self, "node_labels", node_labels)
+        _put(self, "edge_labels", edge_labels)
+        _put(self, "typegraph", typegraph)
+        if typegraph is not None:
             _check_types(self)
-        elif self.edge_labels is not None:
+        elif edge_labels is not None:
             raise StructuralError("edge labels need a type graph")
-        elif self.node_labels is not None:
+        elif node_labels is not None:
             _check_capabilities(self)
+
+    def __eq__(self, other):
+        # The fields written out, not read through ``_fields``: graphs are
+        # compared often enough that the loop would show.
+        if other.__class__ is self.__class__:
+            return ((self.nodes, self.src, self.tgt, self.node_labels, self.edge_labels, self.typegraph)
+                    == (other.nodes, other.src, other.tgt, other.node_labels, other.edge_labels, other.typegraph))
+        return NotImplemented
+
+    __hash__ = _Record.__hash__  # a class that defines ``__eq__`` loses its inherited hash
 
     @classmethod
     def build(cls, nodes: Iterable[str] = (), edges: Optional[Mapping[str, tuple]] = None,
@@ -180,18 +239,28 @@ def PolarizedGraph(graph: Graph, nplus, nminus) -> Graph:
                  {n: _CAPABILITIES[n in nplus, n in nminus] for n in graph.nodes})
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Record):
     """A pair of maps on node and edge ids between two objects.
 
     Construction does not validate; run :func:`validate_morphism`.  The
     engine's constructions build their arrows valid by construction.
     """
 
-    source: object
-    target: object
-    nodemap: dict
-    edgemap: dict
+    _fields = __slots__ = ("source", "target", "nodemap", "edgemap")
+
+    def __init__(self, source, target, nodemap: dict, edgemap: dict):
+        _put(self, "source", source)
+        _put(self, "target", target)
+        _put(self, "nodemap", nodemap)
+        _put(self, "edgemap", edgemap)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.nodemap, self.edgemap)
+                    == (other.source, other.target, other.nodemap, other.edgemap))
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
 
 
 def derived(value, name: str, build: Callable, *args):
@@ -211,8 +280,7 @@ def derived(value, name: str, build: Callable, *args):
     return fact
 
 
-@dataclass(frozen=True)
-class CategoryInstance:
+class CategoryInstance(_Record):
     """One of the three settings, with the table every construction reads.
 
     ``kind`` is ``"gr"``, ``"typed"`` or ``"grpol"``; typed instances carry
@@ -238,38 +306,33 @@ class CategoryInstance:
     and kept on the instance (see :func:`derived`).
     """
 
-    kind: str
-    typegraph: Optional[Graph] = None
-    leq: Callable = field(init=False, repr=False, compare=False)
-    meet: Callable = field(init=False, repr=False, compare=False)
-    empty: Graph = field(init=False, repr=False, compare=False)
-    stars: dict = field(init=False, repr=False, compare=False)
-    edge_labels_between: Callable = field(init=False, repr=False, compare=False)
-    below: Callable = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "typegraph")
+    _table = ("leq", "meet", "empty", "stars", "edge_labels_between", "below")
+    __slots__ = _fields + _table
 
-    def __post_init__(self):
-        if self.kind not in ("gr", "typed", "grpol"):
-            raise PreconditionError(f"unknown category kind {self.kind!r}")
-        if (self.kind == "typed") != (self.typegraph is not None):
+    def __init__(self, kind: str, typegraph: Optional[Graph] = None):
+        if kind not in ("gr", "typed", "grpol"):
+            raise PreconditionError(f"unknown category kind {kind!r}")
+        if (kind == "typed") != (typegraph is not None):
             raise PreconditionError("typed instances need a type graph, others must not have one")
-        if self.kind == "gr":
+        if kind == "gr":
             table = (operator.eq, _first, Graph(frozenset(), {}, {}), {"": None},
                      lambda a, b: _UNLABELLED, lambda a: _UNLABELLED)
-        elif self.kind == "typed":
-            tg = self.typegraph
+        elif kind == "typed":
             between = {}
-            for et in sorted(tg.src):
-                between.setdefault((tg.src[et], tg.tgt[et]), []).append(et)
-            table = (operator.eq, _first, Graph(frozenset(), {}, {}, {}, {}, tg),
-                     {f":{t}": t for t in sorted(tg.nodes)},
+            for et in sorted(typegraph.src):
+                between.setdefault((typegraph.src[et], typegraph.tgt[et]), []).append(et)
+            table = (operator.eq, _first, Graph(frozenset(), {}, {}, {}, {}, typegraph),
+                     {f":{t}": t for t in sorted(typegraph.nodes)},
                      lambda a, b: between.get((a, b), ()),
                      lambda a: (a,))
         else:
             table = (operator.le, operator.and_, Graph(frozenset(), {}, {}, {}), {"": _CAPABILITIES[True, True]},
                      lambda a, b: _UNLABELLED if "+" in a and "-" in b else (),
                      lambda a: [caps for caps in _CAPABILITIES.values() if caps <= a])
-        for name, value in zip(("leq", "meet", "empty", "stars", "edge_labels_between", "below"), table):
-            object.__setattr__(self, name, value)
+        self._fill(kind, typegraph)
+        for name, value in zip(self._table, table):
+            _put(self, name, value)
 
     def star(self, label) -> str:
         """Id suffix of the star node that absorbs items labelled ``label``."""
@@ -328,12 +391,11 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     )
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    valid: bool
-    is_mono_in_M: bool
-    is_iso: bool
-    problems: tuple = ()
+class MorphismReport(_Record):
+    _fields = __slots__ = ("valid", "is_mono_in_M", "is_iso", "problems")
+
+    def __init__(self, valid: bool, is_mono_in_M: bool, is_iso: bool, problems: tuple = ()):
+        self._fill(valid, is_mono_in_M, is_iso, problems)
 
 
 def _structural_check(f: Morphism):

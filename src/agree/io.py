@@ -291,9 +291,9 @@ def _read_columns(doc: dict, typegraph: Optional[Graph], polarized: bool = False
         return None
     nids, (eids, srcs, tgts) = node_cols[0], edge_cols[:3]
     node_set = frozenset(nids)
-    if len(node_set) != len(nids) or len(set(eids)) != len(eids):
-        return None
     src, tgt = dict(zip(eids, srcs)), dict(zip(eids, tgts))
+    if len(node_set) != len(nids) or len(src) != len(eids):  # a duplicate id
+        return None
 
     if typed:
         if any(map(contains, nodes, repeat("polarity"))):

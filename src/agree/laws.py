@@ -9,7 +9,6 @@ deterministic in the seed; bounds are part of every report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from . import io as docio
@@ -28,6 +27,7 @@ from .core import (
     CategoryInstance,
     Graph,
     Morphism,
+    _Record,
     compose,
     typed_over,
     validate_morphism,
@@ -67,16 +67,12 @@ def default_instance(kind: str) -> CategoryInstance:
     raise PreconditionError(f"unknown category name {kind!r}")
 
 
-@dataclass(frozen=True)
-class LawReport:
-    law: str
-    instance: str
-    count: int
-    passed: bool
-    failures: int
-    first_counterexample: Optional[dict]
-    seed: int
-    size_bound: tuple
+class LawReport(_Record):
+    _fields = __slots__ = ("law", "instance", "count", "passed", "failures", "first_counterexample", "seed", "size_bound")
+
+    def __init__(self, law: str, instance: str, count: int, passed: bool, failures: int,
+                 first_counterexample: Optional[dict], seed: int, size_bound: tuple):
+        self._fill(law, instance, count, passed, failures, first_counterexample, seed, size_bound)
 
 
 def _norm_bound(size_bound) -> tuple:

@@ -13,7 +13,6 @@ their polarity allows.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations_with_replacement, compress, permutations, product
 from math import prod
@@ -38,6 +37,7 @@ from .core import (
     Graph,
     Morphism,
     PolarizedGraph,
+    _Record,
     belongs,
     compose,
     identity,
@@ -67,16 +67,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """A span plus embedding; ``mode`` is ``AGREE``, ``SQPO`` or ``PSQPO``."""
 
-    l: Morphism
-    r: Morphism
-    t: Morphism
-    mode: str
-    nplus: Optional[frozenset] = None
-    nminus: Optional[frozenset] = None
+    _fields = __slots__ = ("l", "r", "t", "mode", "nplus", "nminus")
+
+    def __init__(self, l: Morphism, r: Morphism, t: Morphism, mode: str,
+                 nplus: Optional[frozenset] = None, nminus: Optional[frozenset] = None):
+        self._fill(l, r, t, mode, nplus, nminus)
 
     @property
     def lhs(self):
@@ -130,23 +128,24 @@ def psqpo_rule(l: Morphism, r: Morphism, nplus, nminus) -> Rule:
     return Rule(l, r, t, "PSQPO", frozenset(nplus), frozenset(nminus))
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(_Record):
     """Exactly the objects and arrows ``io.trace_doc`` writes of a step:
     the rule, the match, D, H and the arrows of the paper's diagram.  A
     PSQPO step's trace has the same shape, with polarity dropped."""
 
-    rule: Rule
-    match: Morphism
-    l_prime: Morphism   # TK -> T(L)
-    m_bar: Morphism     # G  -> T(L)
-    context: object     # D
-    g: Morphism         # D -> G
-    n_prime: Morphism   # D -> TK
-    n: Morphism         # K -> D
-    result: object      # H
-    h: Morphism         # D -> H
-    p: Morphism         # R -> H
+    _fields = __slots__ = ("rule", "match", "l_prime", "m_bar", "context", "g", "n_prime", "n", "result", "h", "p")
+
+    def __init__(self, rule: Rule, match: Morphism,
+                 l_prime: Morphism,   # TK -> T(L)
+                 m_bar: Morphism,     # G  -> T(L)
+                 context,             # D
+                 g: Morphism,         # D -> G
+                 n_prime: Morphism,   # D -> TK
+                 n: Morphism,         # K -> D
+                 result,              # H
+                 h: Morphism,         # D -> H
+                 p: Morphism):        # R -> H
+        self._fill(rule, match, l_prime, m_bar, context, g, n_prime, n, result, h, p)
 
 
 def enumerate_matches(lhs, g, instance: CategoryInstance):
@@ -203,13 +202,14 @@ def _second_phase(rule: Rule, m: Morphism, pb: Pullback, n: Morphism, instance: 
     return trace
 
 
-@dataclass(frozen=True)
-class Fpbc:
+class Fpbc(_Record):
     """A final pullback complement ``(n, a)``: ``K -n-> D -a-> G``, with
     D as its ``context``."""
 
-    n: Morphism
-    a: Morphism
+    _fields = __slots__ = ("n", "a")
+
+    def __init__(self, n: Morphism, a: Morphism):
+        self._fill(n, a)
 
     @property
     def context(self):
@@ -237,12 +237,11 @@ def _fpbc_phase(l: Morphism, m: Morphism, instance: CategoryInstance) -> tuple:
     return pb, n
 
 
-@dataclass(frozen=True)
-class FpbcReport:
-    ok: bool
-    bound: tuple
-    cones_checked: int
-    counterexample: Optional[dict] = None
+class FpbcReport(_Record):
+    _fields = __slots__ = ("ok", "bound", "cones_checked", "counterexample")
+
+    def __init__(self, ok: bool, bound: tuple, cones_checked: int, counterexample: Optional[dict] = None):
+        self._fill(ok, bound, cones_checked, counterexample)
 
 
 def _connected(num_nodes: int, edge_pairs) -> bool:
@@ -535,6 +534,12 @@ def complement_of_square(n: Morphism, l: Morphism, m: Morphism, g: Morphism,
         raise PreconditionError("complement_of_square needs a pullback square")
     if not validate_morphism(m, instance).is_mono_in_M:
         raise PreconditionError("strict complements are taken of admissible monos")
+    return _restrict_to_complements(n, m, g, instance)
+
+
+def _restrict_to_complements(n: Morphism, m: Morphism, g: Morphism, instance: CategoryInstance) -> Morphism:
+    """:func:`complement_of_square` of a square known to be a pullback
+    with ``m`` an admissible mono."""
     (comp_d, _), (comp_g, _) = _strict_complement(n, instance), _strict_complement(m, instance)
     nodes, edges = comp_d.nodes, comp_d.src
     return Morphism(comp_d, comp_g, dict(zip(nodes, map(g.nodemap.__getitem__, nodes))),
@@ -553,6 +558,11 @@ def is_local_rule(rule: Rule, instance: CategoryInstance) -> bool:
 
 def is_local_step(trace: RewriteTrace, instance: CategoryInstance) -> bool:
     """Whether the step restricted to an isomorphism between the strict
-    complements of interface and left-hand side."""
-    arrow = complement_of_square(trace.n, trace.rule.l, trace.match, trace.g, instance)
-    return validate_morphism(arrow, instance).is_iso
+    complements of interface and left-hand side.  The trace's arrows are
+    valid and its match an admissible mono, as the step checked or built
+    them, so its square is checked as the step checks it: fit, commuting
+    and fibres, without validating the host-sized ``g`` again."""
+    n, l, m, g = trace.n, trace.rule.l, trace.match, trace.g
+    if not _is_pullback_by_fibres(l, n, m, g, instance):
+        raise PreconditionError("is_local_step needs a step whose left square is a pullback")
+    return validate_morphism(_restrict_to_complements(n, m, g, instance), instance).is_iso

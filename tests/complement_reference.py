@@ -5,8 +5,8 @@ T(1).
 The engine computes a strict complement directly, by set passes over the
 host.  ``conftest.py`` checks every call the suite makes against this
 construction, built from the public ``characteristic`` and ``pullback``,
-and checks that every square ``complement_of_square`` restricts to is a
-pullback, by the canonical construction in ``square_reference.py``.
+and checks that every square ``complement_of_square`` and
+``is_local_step`` restrict to is a pullback, by the canonical construction in ``square_reference.py``.
 ``test_complement_reference.py`` checks that broken complements and a
 broken restriction fail it.
 """
@@ -89,11 +89,14 @@ def assert_restricted_pullback(out: Morphism, n: Morphism, m: Morphism, g: Morph
 
 
 def checked_restriction(restrict):
-    """``restrict``, a ``complement_of_square``, with every answer checked
-    to close a pullback square."""
+    """``restrict``, a ``complement_of_square`` or the private
+    ``_restrict_to_complements(n, m, g, instance)`` that it and
+    ``is_local_step`` end in, with every answer checked to close a
+    pullback square."""
 
-    def checked_restrict(n, l, m, g, instance):
-        out = restrict(n, l, m, g, instance)
+    def checked_restrict(n, *rest):
+        out = restrict(n, *rest)
+        m, g, instance = rest[-3:]
         assert_restricted_pullback(out, n, m, g, instance)
         return out
 

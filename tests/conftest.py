@@ -72,11 +72,13 @@ def complements_match_reference(monkeypatch):
     ``strict_complement`` or of ``_strict_complement``, the direct passes
     that it, ``complement_of_square`` and ``agree complement`` end in,
     must give the pullback of the characteristic arrow against ``false``
-    in ``complement_reference.py``; every ``complement_of_square`` must
-    restrict its square to a pullback square."""
+    in ``complement_reference.py``; every ``complement_of_square``, and
+    the ``_restrict_to_complements`` that it and ``is_local_step`` end in,
+    must restrict its square to a pullback square."""
     wrappers = {"strict_complement": complement_reference.checked,
                 "_strict_complement": complement_reference.checked,
-                "complement_of_square": complement_reference.checked_restriction}
+                "complement_of_square": complement_reference.checked_restriction,
+                "_restrict_to_complements": complement_reference.checked_restriction}
     for name, wrap in wrappers.items():
         compute = getattr(agree.rewrite, name)
         _replace_bindings(monkeypatch, name, compute, wrap(compute))

@@ -591,9 +591,9 @@ REJECTED = {
         [f"{FIXTURES / 'clone_l.json'}: not an admissible mono"]),
     "match not a mono": (_ANONYMIZE + [_fixture("network_match",
                                                 nodes={"x1": "u1", "x2": "u1", "x3": "u3", "x4": "u4"})],
-                         ["/: the given match is not an admissible mono"]),
+                         ["$tmp/doc6.json: the given match is not an admissible mono"]),
     "complement of a non-mono": (["complement", "--m", str(FIXTURES / "clone_l.json")],
-                                 ["/: strict complements are taken of admissible monos"]),
+                                 [f"{FIXTURES / 'clone_l.json'}: strict complements are taken of admissible monos"]),
 }
 
 

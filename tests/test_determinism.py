@@ -8,7 +8,6 @@ again here after all the others.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -106,7 +105,7 @@ def run_commands(commands, workdir):
 
 def law_report(law, kind):
     report = run_law(law, seed=11, size_bound=(4, 5), instance=default_instance(kind), count=10)
-    return json.loads(json.dumps(dataclasses.asdict(report)))
+    return json.loads(json.dumps({name: getattr(report, name) for name in report._fields}))
 
 
 def _fresh_python(code, *args):

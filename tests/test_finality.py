@@ -7,7 +7,7 @@ reports must agree field by field, the reference's ``count`` read as
 "two or more" from 2 on.
 """
 
-import dataclasses
+import copy
 import random
 from itertools import permutations, product
 
@@ -23,7 +23,7 @@ OUTCOMES = {"ok", "square is not a pullback", "factoring arrow not unique", "no 
 
 
 def report(rep):
-    doc = dataclasses.asdict(rep)
+    doc = copy.deepcopy({name: getattr(rep, name) for name in rep._fields})
     witness = doc["counterexample"]
     if witness and "count" in witness:
         witness["count"] = min(witness["count"], 2)
